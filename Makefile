@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # -fuzz <name> ./internal/srb` with no time limit).
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke
+.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke loc
 
 check: vet build test race lint fuzz-short chaos-short
 
@@ -73,7 +73,7 @@ chaos-short:
 chaos-long:
 	$(GO) test -tags chaoslong ./internal/chaos -run TestChaosLong -count=1 -v
 
-# Wire hot-path snapshot (pipelining, write coalescing, allocs/op,
+# Wire hot-path snapshot (pipelining, a coalesced striped write, allocs/op,
 # 1-vs-3-server federated striping, strided-read fast paths, fair-share
 # p99 under a flooding neighbor): writes $(BENCH_SNAP) for committing
 # alongside the change it measures, then runs the paper-figure benchmarks.
@@ -89,3 +89,14 @@ bench:
 # at its bucket instead of wrecking its neighbor's p99. Wired into CI.
 bench-smoke:
 	$(GO) run ./cmd/benchsnap -quick -out -
+
+# Size of the code that ships: lines of non-test Go outside bench/ and any
+# testdata/, in total and per top-level package directory. "Less code" is a
+# number; this regenerates it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { \
+			n = split($$2, p, "/"); \
+			pkg = n == 2 ? "." : (p[2] == "internal" || p[2] == "cmd" || p[2] == "examples") && n > 3 ? p[2] "/" p[3] : p[2]; \
+			lines[pkg] += $$1; total += $$1 } \
+		END { for (k in lines) printf "%7d  %s\n", lines[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'

@@ -8,8 +8,9 @@
 //     strictly serialized (await each response before the next request, the
 //     pre-pipelining client behavior) and then with many tagged requests in
 //     flight. Latency-bound workloads should approach depth× improvement.
-//  2. What does write coalescing buy? A striped SRBFS file is written with
-//     vectored-write batching on and off (SRBFSConfig.DisableCoalesce).
+//  2. What does a coalesced striped write cost? One WriteAt spanning many
+//     stripes of a striped SRBFS file, which travels as one vectored frame
+//     run per stream.
 //  3. What does buffer pooling buy? Heap allocations per op on the
 //     small-op hot path, measured with runtime.MemStats.
 //  4. What does federating across servers buy? The same striped write is
@@ -102,9 +103,6 @@ type derived struct {
 	// PipelineSpeedup is serialized wall time over pipelined wall time for
 	// the same op batch on one connection.
 	PipelineSpeedup float64 `json:"pipeline_speedup"`
-	// CoalesceSpeedup is the uncoalesced striped write wall time over the
-	// coalesced one.
-	CoalesceSpeedup float64 `json:"coalesce_speedup"`
 	// FederationSpeedup is the 1-server federated striped write wall time
 	// over the FedServers-server one: how much striping across servers
 	// buys when per-server storage bandwidth is the bottleneck.
@@ -174,10 +172,7 @@ func main() {
 	check(err)
 	pipelined.Name = "small-writes/pipelined"
 
-	uncoalesced, err := runStripedWrite(*latency, coalesceOps, stripe, streams, true)
-	check(err)
-	uncoalesced.Name = "striped-write/coalesce-off"
-	coalesced, err := runStripedWrite(*latency, coalesceOps, stripe, streams, false)
+	coalesced, err := runStripedWrite(*latency, coalesceOps, stripe, streams)
 	check(err)
 	coalesced.Name = "striped-write/coalesce-on"
 
@@ -216,11 +211,10 @@ func main() {
 		Tool:   "cmd/benchsnap",
 		Go:     runtime.Version(),
 		Config: cfg,
-		Results: []result{serialized, pipelined, uncoalesced, coalesced, fedOne, fedMany,
+		Results: []result{serialized, pipelined, coalesced, fedOne, fedMany,
 			naiveStrided, sievedStrided, listioStrided, twoPhase, fairSolo, fairFlooded},
 		Derived: derived{
 			PipelineSpeedup:   ratio(serialized.WallNS, pipelined.WallNS),
-			CoalesceSpeedup:   ratio(uncoalesced.WallNS, coalesced.WallNS),
 			FederationSpeedup: ratio(fedOne.WallNS, fedMany.WallNS),
 			SieveSpeedup:      ratio(naiveStrided.WallNS, sievedStrided.WallNS),
 			ListIOSpeedup:     ratio(naiveStrided.WallNS, listioStrided.WallNS),
@@ -237,9 +231,8 @@ func main() {
 		check(err)
 	} else {
 		check(os.WriteFile(*out, enc, 0o644))
-		fmt.Printf("wrote %s: pipeline %.2fx, coalesce %.2fx, federation %.2fx, sieve %.2fx, listio %.2fx, two-phase %.2fx, fair-share p99 %.2fx\n",
-			*out, snap.Derived.PipelineSpeedup, snap.Derived.CoalesceSpeedup,
-			snap.Derived.FederationSpeedup, snap.Derived.SieveSpeedup,
+		fmt.Printf("wrote %s: pipeline %.2fx, federation %.2fx, sieve %.2fx, listio %.2fx, two-phase %.2fx, fair-share p99 %.2fx\n",
+			*out, snap.Derived.PipelineSpeedup, snap.Derived.FederationSpeedup, snap.Derived.SieveSpeedup,
 			snap.Derived.ListIOSpeedup, snap.Derived.TwoPhaseSpeedup,
 			snap.Derived.FairShareSlowdown)
 	}
@@ -469,8 +462,8 @@ func runSmallWrites(latency time.Duration, ops, size, depth int) (result, error)
 }
 
 // runStripedWrite writes ops stripes through a striped SRBFS handle in one
-// WriteAt call, with write coalescing toggled by disable.
-func runStripedWrite(latency time.Duration, ops, stripe, streams int, disable bool) (result, error) {
+// WriteAt call.
+func runStripedWrite(latency time.Duration, ops, stripe, streams int) (result, error) {
 	srv := srb.NewMemServer(storage.DeviceSpec{})
 	dial := func() (net.Conn, error) {
 		cEnd, sEnd := netsim.Pipe(latency, nil, nil)
@@ -478,11 +471,10 @@ func runStripedWrite(latency time.Duration, ops, stripe, streams int, disable bo
 		return cEnd, nil
 	}
 	fs, err := core.NewSRBFS(core.SRBFSConfig{
-		Dial:            dial,
-		User:            "bench",
-		Streams:         streams,
-		StripeSize:      stripe,
-		DisableCoalesce: disable,
+		Dial:       dial,
+		User:       "bench",
+		Streams:    streams,
+		StripeSize: stripe,
 	})
 	if err != nil {
 		return result{}, err

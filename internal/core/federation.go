@@ -70,7 +70,6 @@ type FedConfig struct {
 	Retry           srb.RetryPolicy
 	ReconnectBudget int
 	Tracer          *trace.Tracer
-	DisableCoalesce bool
 }
 
 // FedFS is the federated ADIO driver: one SRBFS pool per server endpoint,
@@ -115,7 +114,6 @@ func NewFedFS(cfg FedConfig) (*FedFS, error) {
 			Retry:           cfg.Retry,
 			ReconnectBudget: cfg.ReconnectBudget,
 			Tracer:          cfg.Tracer,
-			DisableCoalesce: cfg.DisableCoalesce,
 		})
 		if err != nil {
 			return nil, err
@@ -181,19 +179,18 @@ func (d *FedFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 	f := &fedFile{
 		fs:        d,
 		path:      path,
-		stripe:    stripe,
-		width:     len(slots),
+		layout:    layout{stripe: stripe, width: len(slots), dense: true},
 		slots:     slots,
 		hints:     hints,
 		lazyFlags: flags &^ (adio.O_TRUNC | adio.O_EXCL),
 		async:     d.cfg.Async,
-		handles:   make(map[handleKey]adio.File),
+		handles:   make(map[handleKey]*srbFile),
 		repSem:    make(chan struct{}, fedReplicaDepth),
 	}
 	if flags&(adio.O_TRUNC|adio.O_EXCL) != 0 {
 		for slot, servers := range slots {
 			for _, server := range servers {
-				h, err := d.subs[server].Open(SlotPath(path, slot), flags, hints)
+				h, err := d.subs[server].open(SlotPath(path, slot), flags, hints)
 				if err != nil {
 					//lint:allow errdrop -- unwinding a partially-opened slot set; the open error is returned
 					f.Close()
@@ -222,21 +219,21 @@ const fedPipelineDepth = 16
 const fedReplicaDepth = 16
 
 // fedFile is one open federated handle: a lazily-populated map of
-// per-(server, slot) SRBFS handles, RAID-0 offset translation between the
-// global file and the dense slot files, and the replication machinery.
+// per-(server, slot) SRBFS handles, the dense RAID-0 layout translating
+// between the global file and the slot files, and the replication
+// machinery.
 type fedFile struct {
 	fs        *FedFS
 	path      string
-	stripe    int64
-	width     int
+	layout    layout // dense; width == len(slots)
 	slots     []mcat.ReplicaSet
 	hints     adio.Hints
 	lazyFlags int
 	async     bool
 
 	mu      sync.Mutex
-	closed  bool                    // guarded by mu
-	handles map[handleKey]adio.File // guarded by mu; lazily opened
+	closed  bool                   // guarded by mu
+	handles map[handleKey]*srbFile // guarded by mu; lazily opened
 
 	// Background replication state (async mode): repWG tracks trailing
 	// replica writes, repSem bounds them, repErr holds the first failure
@@ -248,11 +245,12 @@ type fedFile struct {
 }
 
 var _ adio.File = (*fedFile)(nil)
+var _ adio.VectorIO = (*fedFile)(nil)
 var _ FaultReporter = (*fedFile)(nil)
 
 // getHandle returns the (server, slot) handle, opening it on first use.
 // The open happens outside the handle lock; a lost race closes the extra.
-func (f *fedFile) getHandle(server string, slot int) (adio.File, error) {
+func (f *fedFile) getHandle(server string, slot int) (*srbFile, error) {
 	key := handleKey{server, slot}
 	f.mu.Lock()
 	if f.closed {
@@ -264,7 +262,7 @@ func (f *fedFile) getHandle(server string, slot int) (adio.File, error) {
 		return h, nil
 	}
 	f.mu.Unlock()
-	h, err := f.fs.subs[server].Open(SlotPath(f.path, slot), f.lazyFlags, f.hints)
+	h, err := f.fs.subs[server].open(SlotPath(f.path, slot), f.lazyFlags, f.hints)
 	if err != nil {
 		return nil, err
 	}
@@ -286,217 +284,191 @@ func (f *fedFile) getHandle(server string, slot int) (adio.File, error) {
 	return h, nil
 }
 
-// fedOp is one stripe-sized piece of a federated transfer.
-type fedOp struct {
+// fedWrite is one write call on a slot handle: the bytes bound for one slot
+// that travel together — a single piece from WriteAt, the slot's whole
+// vector from WriteAtVec.
+type fedWrite struct {
 	slot int
-	gOff int64 // global file offset (error reporting)
-	lOff int64 // offset inside the slot file
-	buf  []byte
+	gOff int64      // global offset of the first byte, for error reports
+	vecs []adio.Vec // slot-local
 }
 
-// splitFed cuts [off, off+len(p)) on stripe boundaries and translates
-// each piece to its slot file: global block b -> slot b%width, local
-// offset (b/width)*stripe + in-block remainder.
-func (f *fedFile) splitFed(p []byte, off int64) []fedOp {
-	var ops []fedOp
-	for len(p) > 0 {
-		blk := off / f.stripe
-		end := (blk + 1) * f.stripe
-		take := end - off
-		if take > int64(len(p)) {
-			take = int64(len(p))
-		}
-		ops = append(ops, fedOp{
-			slot: int(blk % int64(f.width)),
-			gOff: off,
-			lOff: (blk/int64(f.width))*f.stripe + (off - blk*f.stripe),
-			buf:  p[:take],
-		})
-		p = p[take:]
-		off += take
+// on issues the write on one server's slot handle. A lone extent takes the
+// handle's scalar entry point, which skips the vector bookkeeping; the
+// handle puts the same op on the wire either way.
+func (w fedWrite) on(h *srbFile) (int, error) {
+	if len(w.vecs) == 1 {
+		return h.WriteAt(w.vecs[0].Buf, w.vecs[0].Off)
 	}
-	return ops
+	return h.WriteAtVec(w.vecs)
 }
 
-// slotSpan reports how many bytes of a global prefix [0, size) land on
-// one slot — the dense length of that slot's file.
-func slotSpan(size, stripe int64, width, slot int) int64 {
-	if size <= 0 {
-		return 0
-	}
-	full := size / stripe
-	rem := size % stripe
-	n := (full / int64(width)) * stripe
-	switch at := int(full % int64(width)); {
-	case at > slot:
-		n += stripe
-	case at == slot:
-		n += rem
-	}
-	return n
-}
-
-// slotEnd is the inverse: the smallest global size whose slot file holds
-// local bytes [0, local).
-func slotEnd(local, stripe int64, width, slot int) int64 {
-	if local <= 0 {
-		return 0
-	}
-	last := local - 1
-	gblk := (last/stripe)*int64(width) + int64(slot)
-	return gblk*stripe + last%stripe + 1
-}
-
-// WriteAt implements adio.File. Each stripe is written to its slot's
-// replica set — every server before returning in sync mode, the primary
-// only in async mode with replicas queued behind repWG. On error the
-// returned count is the contiguous prefix confirmed on every required
-// replica; stripes past the first failure are excluded even if they
-// succeeded out of order, the same contract as the single-server path.
-func (f *fedFile) WriteAt(p []byte, off int64) (int, error) {
-	ops := f.splitFed(p, off)
-	// results[i][r]: op i on replica r of its slot (async: primary only).
-	results := make([][]opResult, len(ops))
+// writeAll sends each write to its slot's replica set — every server
+// before returning in sync mode, the primary only in async mode with the
+// replicas queued behind repWG — keeping at most fedPipelineDepth
+// (write, server) pairs in flight. Each result is the count every required
+// replica confirmed, with the first error among them.
+func (f *fedFile) writeAll(writes []fedWrite) []opResult {
+	acks := make([][]opResult, len(writes))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, fedPipelineDepth)
-	for i, o := range ops {
-		servers := f.slots[o.slot]
-		syncN := len(servers)
+	for i := range writes {
+		w := &writes[i]
+		servers := f.slots[w.slot]
+		must := servers
 		if f.async {
-			syncN = 1
+			must = servers[:1]
 		}
-		results[i] = make([]opResult, syncN)
-		for r := 0; r < syncN; r++ {
+		acks[i] = make([]opResult, len(must))
+		for r, server := range must {
 			sem <- struct{}{}
 			wg.Add(1)
-			go func(i, r int, server string, o fedOp) {
+			go func(ack *opResult) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i][r] = f.writeOne(server, o)
-			}(i, r, servers[r], o)
+				h, err := f.getHandle(server, w.slot)
+				if err == nil {
+					ack.n, err = w.on(h)
+				}
+				ack.err = err
+			}(&acks[i][r])
 		}
-		if f.async {
-			for _, server := range servers[1:] {
-				f.queueReplica(server, o)
-			}
+		for _, server := range servers[len(must):] {
+			f.queueReplica(server, *w)
 		}
 	}
 	wg.Wait()
 
-	total := 0
-	for i, o := range ops {
-		n := len(o.buf)
-		var err error
-		for _, r := range results[i] {
-			if r.n < n {
-				n = r.n
-			}
-			if r.err != nil && err == nil {
-				err = r.err
+	results := make([]opResult, len(writes))
+	for i, replicas := range acks {
+		results[i] = replicas[0]
+		for _, r := range replicas[1:] {
+			results[i].n = min(results[i].n, r.n)
+			if results[i].err == nil {
+				results[i].err = r.err
 			}
 		}
-		total += n
-		if err != nil {
-			return total, fmt.Errorf("core: federated write at %d (slot %d): %w", o.gOff, o.slot, err)
-		}
-		if n < len(o.buf) {
-			return total, io.ErrShortWrite
-		}
 	}
-	return total, nil
-}
-
-// writeOne writes one stripe to one server's slot file.
-func (f *fedFile) writeOne(server string, o fedOp) opResult {
-	h, err := f.getHandle(server, o.slot)
-	if err != nil {
-		return opResult{n: 0, err: err}
-	}
-	n, err := h.WriteAt(o.buf, o.lOff)
-	return opResult{n: n, err: err}
+	return results
 }
 
 // queueReplica schedules one trailing replica write (async mode). The
-// stripe is copied — the caller owns its buffer again as soon as WriteAt
-// returns. Trailing writes of one WriteAt may reorder against another
-// in-flight WriteAt; overlapping writers that need ordering use sync
+// bytes are copied — the caller owns its buffers again as soon as the
+// write call returns. Trailing writes of one call may reorder against
+// another in-flight call; overlapping writers that need ordering use sync
 // replication. The first failure is held for Sync/Close.
-func (f *fedFile) queueReplica(server string, o fedOp) {
-	data := append([]byte(nil), o.buf...)
+func (f *fedFile) queueReplica(server string, w fedWrite) {
+	vecs := make([]adio.Vec, len(w.vecs))
+	for i, v := range w.vecs {
+		vecs[i] = adio.Vec{Off: v.Off, Buf: append([]byte(nil), v.Buf...)}
+	}
+	w.vecs = vecs
 	f.repSem <- struct{}{}
 	f.repWG.Add(1)
 	go func() {
 		defer f.repWG.Done()
 		defer func() { <-f.repSem }()
-		h, err := f.getHandle(server, o.slot)
+		h, err := f.getHandle(server, w.slot)
 		if err == nil {
-			_, err = h.WriteAt(data, o.lOff)
+			_, err = w.on(h)
 		}
 		if err != nil {
 			f.repMu.Lock()
 			if f.repErr == nil {
 				f.repErr = fmt.Errorf("core: async replica %s slot %d at %d: %w",
-					server, o.slot, o.gOff, err)
+					server, w.slot, w.gOff, err)
 			}
 			f.repMu.Unlock()
 		}
 	}()
 }
 
-// ReadAt implements adio.File. Each stripe reads from its slot's primary
-// and fails over through the replicas in placement order; a failed-over
-// stripe counts fully toward the contiguous prefix. Short reads report
-// the contiguous prefix actually available, with io.EOF when it ends
-// before len(p).
-func (f *fedFile) ReadAt(p []byte, off int64) (int, error) {
-	ops := f.splitFed(p, off)
-	results := make([]opResult, len(ops))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, fedPipelineDepth)
-	for i, o := range ops {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, o fedOp) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = f.readOne(o)
-		}(i, o)
+// WriteAt implements adio.File, one write per stripe. On error the returned
+// count is the contiguous prefix confirmed on every required replica, the
+// same contract as the single-server path.
+func (f *fedFile) WriteAt(p []byte, off int64) (int, error) {
+	pieces := plan([]adio.Vec{{Off: off, Buf: p}}, f.layout)
+	vecs := make([]adio.Vec, len(pieces))
+	writes := make([]fedWrite, len(pieces))
+	for i, pc := range pieces {
+		vecs[i] = adio.Vec{Off: pc.lOff, Buf: pc.buf}
+		writes[i] = fedWrite{slot: pc.target, gOff: pc.gOff, vecs: vecs[i : i+1]}
 	}
-	wg.Wait()
-
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil && r.err != io.EOF {
-			return total, fmt.Errorf("core: federated read at %d (slot %d): %w",
-				ops[i].gOff, ops[i].slot, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.EOF
-		}
-	}
-	return total, nil
+	return prefix(pieces, f.writeAll(writes), true)
 }
 
-// readOne reads one stripe, failing over across the slot's replica set.
-// io.EOF does not fail over: a healthy server saying "the file ends here"
-// is a result; shopping the same question to a replica could only return
-// stale bytes (async mode) or the same answer (sync mode).
-func (f *fedFile) readOne(o fedOp) opResult {
-	var lastErr error = errStreamDown
-	for _, server := range f.slots[o.slot] {
-		h, err := f.getHandle(server, o.slot)
-		if err != nil {
-			lastErr = err
-			continue
+// WriteAtVec implements adio.VectorIO: each slot's share of the scatter
+// list travels as one vectored write per replica (list I/O under
+// federation), replicated exactly as WriteAt replicates a stripe.
+func (f *fedFile) WriteAtVec(vecs []adio.Vec) (int, error) {
+	pieces := plan(vecs, f.layout)
+	var groups [][]int
+	var writes []fedWrite
+	for slot, idxs := range byTarget(pieces, f.layout.width) {
+		if len(idxs) > 0 {
+			groups = append(groups, idxs)
+			writes = append(writes, fedWrite{slot: slot, gOff: pieces[idxs[0]].gOff, vecs: localVecs(pieces, idxs)})
 		}
-		n, err := h.ReadAt(o.buf, o.lOff)
-		if err == nil || errors.Is(err, io.EOF) {
-			return opResult{n: n, err: err}
+	}
+	results := make([]opResult, len(pieces))
+	for i, ack := range f.writeAll(writes) {
+		spread(pieces, groups[i], ack.n, ack.err, results)
+	}
+	return prefix(pieces, results, true)
+}
+
+// failover runs a read-side op against the slot's servers in placement
+// order until one answers. io.EOF is an answer: a healthy server saying
+// "the file ends here" is a result; shopping the same question to a
+// replica could only return stale bytes (async mode) or the same answer
+// (sync mode).
+func (f *fedFile) failover(slot int, op func(*srbFile) (int, error)) (int, error) {
+	var lastErr error = errStreamDown
+	for _, server := range f.slots[slot] {
+		h, err := f.getHandle(server, slot)
+		if err == nil {
+			var n int
+			if n, err = op(h); err == nil || errors.Is(err, io.EOF) {
+				return n, err
+			}
 		}
 		lastErr = err
 	}
-	return opResult{n: 0, err: lastErr}
+	return 0, lastErr
+}
+
+// ReadAt implements adio.File. Each stripe reads from its slot's primary
+// and fails over through the replicas; a failed-over stripe counts fully
+// toward the contiguous prefix. Short reads report the contiguous prefix
+// actually available, with io.EOF when it ends before len(p).
+func (f *fedFile) ReadAt(p []byte, off int64) (int, error) {
+	pieces := plan([]adio.Vec{{Off: off, Buf: p}}, f.layout)
+	results := make([]opResult, len(pieces))
+	bounded(fedPipelineDepth, len(pieces), func(i int) {
+		pc := pieces[i]
+		results[i].n, results[i].err = f.failover(pc.target, func(h *srbFile) (int, error) {
+			return h.ReadAt(pc.buf, pc.lOff)
+		})
+	})
+	return prefix(pieces, results, false)
+}
+
+// ReadAtVec implements adio.VectorIO: each slot's share of the scatter
+// list is one vectored read, failing over as a unit. A slot's read stops at
+// its first short extent, so the contiguous prefix in segment order ends
+// there too.
+func (f *fedFile) ReadAtVec(vecs []adio.Vec) (int, error) {
+	pieces := plan(vecs, f.layout)
+	results := make([]opResult, len(pieces))
+	perTarget(pieces, f.layout.width, func(slot int, idxs []int) {
+		segs := localVecs(pieces, idxs)
+		n, err := f.failover(slot, func(h *srbFile) (int, error) { return h.ReadAtVec(segs) })
+		if errors.Is(err, io.EOF) {
+			err = nil
+		}
+		spread(pieces, idxs, n, err, results)
+	})
+	return prefix(pieces, results, false)
 }
 
 // Size implements adio.File: the global size is the maximum inverse-mapped
@@ -504,32 +476,17 @@ func (f *fedFile) readOne(o fedOp) opResult {
 func (f *fedFile) Size() (int64, error) {
 	var size int64
 	for slot := range f.slots {
-		local, err := f.slotSize(slot)
+		var local int64
+		_, err := f.failover(slot, func(h *srbFile) (_ int, err error) {
+			local, err = h.Size()
+			return 0, err
+		})
 		if err != nil {
 			return 0, err
 		}
-		if end := slotEnd(local, f.stripe, f.width, slot); end > size {
-			size = end
-		}
+		size = max(size, f.layout.slotEnd(local, slot))
 	}
 	return size, nil
-}
-
-func (f *fedFile) slotSize(slot int) (int64, error) {
-	var lastErr error = errStreamDown
-	for _, server := range f.slots[slot] {
-		h, err := f.getHandle(server, slot)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		n, err := h.Size()
-		if err == nil {
-			return n, nil
-		}
-		lastErr = err
-	}
-	return 0, lastErr
 }
 
 // Truncate implements adio.File, cutting every slot file on every replica
@@ -538,7 +495,7 @@ func (f *fedFile) slotSize(slot int) (int64, error) {
 func (f *fedFile) Truncate(size int64) error {
 	f.repWG.Wait()
 	for slot, servers := range f.slots {
-		local := slotSpan(size, f.stripe, f.width, slot)
+		local := f.layout.slotSpan(size, slot)
 		for _, server := range servers {
 			h, err := f.getHandle(server, slot)
 			if err != nil {
@@ -573,10 +530,10 @@ func (f *fedFile) Sync() error {
 }
 
 // openHandles snapshots the live slot handles.
-func (f *fedFile) openHandles() []adio.File {
+func (f *fedFile) openHandles() []*srbFile {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]adio.File, 0, len(f.handles))
+	out := make([]*srbFile, 0, len(f.handles))
 	for _, h := range f.handles {
 		out = append(out, h)
 	}
@@ -588,12 +545,10 @@ func (f *fedFile) openHandles() []adio.File {
 func (f *fedFile) FaultStats() FaultStats {
 	var st FaultStats
 	for _, h := range f.openHandles() {
-		if fr, ok := h.(FaultReporter); ok {
-			sub := fr.FaultStats()
-			st.Reconnects += sub.Reconnects
-			st.RetriedOps += sub.RetriedOps
-			st.BudgetLeft += sub.BudgetLeft
-		}
+		sub := h.FaultStats()
+		st.Reconnects += sub.Reconnects
+		st.RetriedOps += sub.RetriedOps
+		st.BudgetLeft += sub.BudgetLeft
 	}
 	return st
 }

@@ -81,61 +81,6 @@ func (fc *fedCluster) mkdirAll(t *testing.T, dir string) {
 	}
 }
 
-func TestSlotLayoutMath(t *testing.T) {
-	const stripe, width = 4, 3
-	f := &fedFile{stripe: stripe, width: width}
-
-	// splitFed tiles [off, off+len) without gaps, round-robins slots, and
-	// each op's local offset is exactly the bytes its slot holds before
-	// gOff — which is slotSpan of a hypothetical file ending at gOff.
-	buf := make([]byte, 37)
-	off := int64(2) // straddles the first stripe boundary
-	want := off
-	for _, o := range f.splitFed(buf, off) {
-		if o.gOff != want {
-			t.Fatalf("op at %d, want %d", o.gOff, want)
-		}
-		if got := int((o.gOff / stripe) % width); got != o.slot {
-			t.Fatalf("op at %d on slot %d, want %d", o.gOff, o.slot, got)
-		}
-		if got := slotSpan(o.gOff, stripe, width, o.slot); got != o.lOff {
-			t.Fatalf("op at %d: lOff %d, slotSpan %d", o.gOff, o.lOff, got)
-		}
-		if int64(len(o.buf)) > stripe {
-			t.Fatalf("op at %d spans %d bytes, stripe is %d", o.gOff, len(o.buf), stripe)
-		}
-		want += int64(len(o.buf))
-	}
-	if want != off+int64(len(buf)) {
-		t.Fatalf("ops cover %d bytes, want %d", want-off, len(buf))
-	}
-
-	// slotSpan partitions any size across the slots; slotEnd inverts it.
-	for size := int64(0); size <= 40; size++ {
-		var total int64
-		for slot := 0; slot < width; slot++ {
-			local := slotSpan(size, stripe, width, slot)
-			total += local
-			if end := slotEnd(local, stripe, width, slot); end > size {
-				t.Fatalf("slotEnd(%d, slot %d) = %d > size %d", local, slot, end, size)
-			}
-		}
-		if total != size {
-			t.Fatalf("slotSpan partition of %d sums to %d", size, total)
-		}
-		// The max inverse across slots recovers the exact size.
-		var back int64
-		for slot := 0; slot < width; slot++ {
-			if end := slotEnd(slotSpan(size, stripe, width, slot), stripe, width, slot); end > back {
-				back = end
-			}
-		}
-		if back != size {
-			t.Fatalf("size %d inverted to %d", size, back)
-		}
-	}
-}
-
 func TestFedWriteReadRoundTrip(t *testing.T) {
 	fc := newFedCluster(3, 2)
 	fc.mkdirAll(t, "/fed")
@@ -189,7 +134,7 @@ func TestFedWriteReadRoundTrip(t *testing.T) {
 		if len(servers) != 2 {
 			t.Fatalf("slot %d replica set %v", slot, servers)
 		}
-		wantLocal := slotSpan(int64(len(content)), 1<<10, 3, slot)
+		wantLocal := layout{stripe: 1 << 10, width: 3}.slotSpan(int64(len(content)), slot)
 		for _, server := range servers {
 			e, err := fc.servers[server].Catalog().Lookup(SlotPath("/fed/data", slot))
 			if err != nil {

@@ -11,7 +11,7 @@ import (
 // lower and more predictable read latency.
 func (f *srbFile) ReadAtRedundant(p []byte, off int64) (int, error) {
 	if len(f.streams) == 1 {
-		return f.doOp(f.streams[0], false, p, off)
+		return f.rw(f.streams[0], false, p, off)
 	}
 	type result struct {
 		n   int
@@ -24,7 +24,7 @@ func (f *srbFile) ReadAtRedundant(p []byte, off int64) (int, error) {
 	for _, s := range f.streams {
 		go func(s *stream) {
 			buf := make([]byte, len(p))
-			n, err := f.doOp(s, false, buf, off)
+			n, err := f.rw(s, false, buf, off)
 			ch <- result{n: n, err: err, buf: buf}
 		}(s)
 	}

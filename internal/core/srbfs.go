@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"semplar/internal/adio"
 	"semplar/internal/srb"
@@ -60,10 +59,6 @@ type SRBFSConfig struct {
 	// operation spans and fault-recovery events for every handle this
 	// driver opens.
 	Tracer *trace.Tracer
-	// DisableCoalesce turns off vectored write batching and falls back to
-	// one opWrite round trip per stripe (the historical behavior). Reads
-	// are unaffected. Exists for A/B benchmarking of the coalescing path.
-	DisableCoalesce bool
 }
 
 // SRBFS is the high-performance ADIO implementation for the SRB filesystem
@@ -124,6 +119,15 @@ func (d *SRBFS) connect() (*srb.Conn, error) {
 // Open implements adio.Driver. Supported hints: "streams" (int) and
 // "stripe_size" (bytes).
 func (d *SRBFS) Open(path string, flags int, hints adio.Hints) (adio.File, error) {
+	f, err := d.open(path, flags, hints)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// open is Open with the concrete handle type, for the federation layer.
+func (d *SRBFS) open(path string, flags int, hints adio.Hints) (*srbFile, error) {
 	streams := d.cfg.Streams
 	if v := hints.Get("streams", ""); v != "" {
 		n, err := strconv.Atoi(v)
@@ -159,7 +163,17 @@ func (d *SRBFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 		if i > 0 {
 			sf = f.reopenFlags
 		}
-		conn, file, err := d.openStream(path, sf)
+		// The whole dial+handshake+open sequence is one try of the retry
+		// loop, so opening a stream dials at most MaxAttempts times: a
+		// refused dial, a reset landing between the handshake and the open
+		// reply, and a server shedding the open with ErrServerBusy are all
+		// the same backed-off replay.
+		var conn *srb.Conn
+		var file *srb.File
+		_, err := d.cfg.Retry.Do(func() (err error) {
+			conn, file, err = d.dialOpen(path, sf)
+			return err
+		}, nil)
 		if err != nil {
 			//lint:allow errdrop -- unwinding a partially-opened stripe set; the open error is returned
 			f.Close()
@@ -175,38 +189,22 @@ func (d *SRBFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 	return f, nil
 }
 
-// openStream establishes one stream: dial (DialRetry already covers
-// transient dial failures) and open the file on the fresh connection. The
-// open RPC itself is retried under the same policy — a reset landing in
-// the window between a successful handshake and the open reply is as
-// transient as a refused dial, and a server shedding load answers the
-// open with ErrServerBusy, which deserves the same backed-off replay.
-func (d *SRBFS) openStream(path string, flags int) (*srb.Conn, *srb.File, error) {
-	attempts := d.cfg.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+// dialOpen makes one attempt at a ready stream: dial, handshake, open the
+// file on the fresh connection. Stream open and stream recovery are both
+// this, retried by their callers.
+func (d *SRBFS) dialOpen(path string, flags int) (*srb.Conn, *srb.File, error) {
+	conn, err := srb.DialAuth(d.cfg.Dial, d.cfg.User, d.cfg.Tenant, d.cfg.Retry.OpTimeout)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: dial SRB server: %w", err)
 	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(d.cfg.Retry.BackoffFor(i-1, lastErr))
-		}
-		conn, err := d.connect()
-		if err != nil {
-			return nil, nil, err
-		}
-		file, err := conn.Open(path, flags, d.cfg.Resource)
-		if err == nil {
-			return conn, file, nil
-		}
-		//lint:allow errdrop -- discarding the conn whose open failed; that error decides the retry below
+	conn.SetTracer(d.cfg.Tracer)
+	file, err := conn.Open(path, flags, d.cfg.Resource)
+	if err != nil {
+		//lint:allow errdrop -- discarding the conn whose open failed; that error is returned
 		conn.Close()
-		if !srb.Retryable(err) {
-			return nil, nil, err
-		}
-		lastErr = err
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("core: open %s: giving up after %d attempts: %w", path, attempts, lastErr)
+	return conn, file, nil
 }
 
 // stream is one TCP stream of a striped handle. Its connection and file
@@ -302,59 +300,55 @@ func (f *srbFile) FaultStats() FaultStats {
 	}
 }
 
-// doOp runs one explicit-offset operation on a stream, retrying under the
-// driver's policy: a retryable failure (dead connection, timeout) backs
-// off, redials the stream, reopens the handle and replays the op. The
-// returned byte count always describes the final attempt — a replayed op
+// retry runs one idempotent operation on a stream under the driver's retry
+// policy: a retryable failure (dead connection, timeout) backs off, redials
+// the stream, reopens the handle and replays the op. Explicit-offset reads
+// and writes, vectors of them, and Size/Truncate/Sync all qualify — a
+// replay after a partially applied attempt converges to the same state.
+// The returned count always describes the final attempt — a replayed op
 // reports its true full count, never partial progress from a dead stream.
-func (f *srbFile) doOp(s *stream, write bool, buf []byte, off int64) (int, error) {
-	pol := f.fs.cfg.Retry
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		file, gen := s.handle()
-		if file == nil {
-			n, err = 0, errStreamDown
-		} else if write {
-			n, err = file.WriteAt(buf, off)
-		} else {
-			n, err = file.ReadAt(buf, off)
+func (f *srbFile) retry(s *stream, try func(*srb.File) (int, error)) (n int, err error) {
+	var gen int
+	attempts, err := f.fs.cfg.Retry.Do(func() (err error) {
+		var file *srb.File
+		if file, gen = s.handle(); file == nil {
+			n = 0
+			return errStreamDown
 		}
-		if err == nil || (!write && errors.Is(err, io.EOF)) {
-			if attempt > 0 {
-				f.retriedOps.Add(1)
-				f.tracer.Count("srbfs.retried_ops", 1)
-			}
-			if write {
-				f.tracer.Count(s.writeCtr, int64(n))
-			} else {
-				f.tracer.Count(s.readCtr, int64(n))
-			}
-			return n, err
-		}
-		if !pol.Enabled() || !srb.Retryable(err) {
-			return n, err
-		}
-		if attempt+1 >= pol.MaxAttempts {
-			return n, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		time.Sleep(pol.BackoffFor(attempt, err))
-		if errors.Is(err, srb.ErrServerBusy) || errors.Is(err, srb.ErrRateLimited) {
-			// Overload or fair-share shed: the server is healthy and the
-			// connection is fine (both are status replies, not transport
-			// failures), so retry on the same stream without burning
-			// reconnect budget. BackoffFor already slept at least the
-			// rate-limit retry-after hint.
-			continue
-		}
-		if rerr := f.recoverStream(s, gen); rerr != nil {
-			if !srb.Retryable(rerr) {
-				return n, rerr
-			}
-			// Transient reconnect failure (e.g. dial): the next
-			// attempt will find the stream down and try again.
-		}
+		n, err = try(file)
+		return err
+	}, func() error {
+		return f.recoverStream(s, gen)
+	})
+	if attempts > 1 && (err == nil || errors.Is(err, io.EOF)) {
+		f.retriedOps.Add(1)
+		f.tracer.Count("srbfs.retried_ops", 1)
 	}
+	return n, err
+}
+
+// moved adds a completed data op's bytes to its stream's trace counter; an
+// op that failed counts nothing, and a read's io.EOF is a completion.
+func (f *srbFile) moved(ctr string, n int, err error) {
+	if err == nil || errors.Is(err, io.EOF) {
+		f.tracer.Count(ctr, int64(n))
+	}
+}
+
+// rw is one explicit-offset read or write on one stream.
+func (f *srbFile) rw(s *stream, write bool, buf []byte, off int64) (int, error) {
+	ctr := s.readCtr
+	if write {
+		ctr = s.writeCtr
+	}
+	n, err := f.retry(s, func(file *srb.File) (int, error) {
+		if write {
+			return file.WriteAt(buf, off)
+		}
+		return file.ReadAt(buf, off)
+	})
+	f.moved(ctr, n, err)
+	return n, err
 }
 
 // recoverStream replaces a stream's dead connection with a freshly dialed
@@ -394,170 +388,69 @@ func (f *srbFile) recoverStream(s *stream, gen int) error {
 	}
 	s.conn, s.file = nil, nil
 
-	raw, err := f.fs.cfg.Dial()
+	conn, file, err := f.fs.dialOpen(f.path, f.reopenFlags)
 	if err != nil {
-		return fmt.Errorf("core: reconnect dial: %w", err)
-	}
-	conn, err := srb.NewConnAuth(raw, f.fs.cfg.User, f.fs.cfg.Tenant)
-	if err != nil {
-		//lint:allow errdrop -- discarding the transport on a failed handshake; that error is returned
-		raw.Close()
-		return fmt.Errorf("core: reconnect handshake: %w", err)
-	}
-	conn.SetOpTimeout(f.fs.cfg.Retry.OpTimeout)
-	conn.SetTracer(f.tracer)
-	file, err := conn.Open(f.path, f.reopenFlags, f.fs.cfg.Resource)
-	if err != nil {
-		//lint:allow errdrop -- discarding the fresh connection when the reopen fails; that error is returned
-		conn.Close()
-		return fmt.Errorf("core: reopen %s: %w", f.path, err)
+		return fmt.Errorf("core: reconnect %s: %w", f.path, err)
 	}
 	s.conn, s.file = conn, file
 	s.gen++
 	return nil
 }
 
-// op is one contiguous piece of a striped transfer.
-type op struct {
-	stream int
-	off    int64 // file offset
-	buf    []byte
-}
+// layout is the handle's stripe cut: every stream addresses the one file.
+func (f *srbFile) layout() layout { return layout{stripe: f.stripe, width: len(f.streams)} }
 
-// splitStripes cuts [off, off+len(p)) on stripe boundaries and assigns
-// each piece round-robin to a stream.
-func (f *srbFile) splitStripes(p []byte, off int64) []op {
-	n := len(f.streams)
-	var ops []op
-	for len(p) > 0 {
-		blk := off / f.stripe
-		end := (blk + 1) * f.stripe
-		take := end - off
-		if take > int64(len(p)) {
-			take = int64(len(p))
+// transfer runs planned pieces, one worker per stream. A stream carrying
+// more than one piece of a write coalesces them into vectored opWritev
+// frames, so k stripes cost roughly one round trip instead of k; more than
+// one piece of a read goes out pipelined on the connection, so the stream's
+// round trips overlap instead of queueing behind each other. A lone piece
+// is a plain opWrite/opRead either way.
+func (f *srbFile) transfer(pieces []piece, write bool) []opResult {
+	results := make([]opResult, len(pieces))
+	perTarget(pieces, len(f.streams), func(s int, idxs []int) {
+		st := f.streams[s]
+		switch {
+		case len(idxs) == 1:
+			i := idxs[0]
+			results[i].n, results[i].err = f.rw(st, write, pieces[i].buf, pieces[i].lOff)
+		case write:
+			f.writev(st, pieces, idxs, results)
+		default:
+			f.readPipelined(st, pieces, idxs, results)
 		}
-		ops = append(ops, op{
-			stream: int(blk % int64(n)),
-			off:    off,
-			buf:    p[:take],
-		})
-		p = p[take:]
-		off += take
-	}
-	return ops
-}
-
-// runStriped executes the ops concurrently, one worker per stream. Writes
-// coalesce a stream's stripes into vectored frames (unless DisableCoalesce)
-// so k stripes cost roughly one round trip instead of k; reads exploit
-// connection pipelining by keeping several stripes in flight per stream.
-func (f *srbFile) runStriped(ops []op, write bool) []opResult {
-	results := make([]opResult, len(ops))
-	byStream := make([][]int, len(f.streams))
-	for i, o := range ops {
-		byStream[o.stream] = append(byStream[o.stream], i)
-	}
-	coalesce := write && !f.fs.cfg.DisableCoalesce
-	var wg sync.WaitGroup
-	for s, idxs := range byStream {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			st := f.streams[s]
-			switch {
-			case coalesce && len(idxs) > 1:
-				f.writevStream(st, ops, idxs, results)
-			case write:
-				for _, i := range idxs {
-					o := ops[i]
-					n, err := f.doOp(st, true, o.buf, o.off)
-					results[i] = opResult{n: n, err: err}
-				}
-			default:
-				f.readStream(st, ops, idxs, results)
-			}
-		}(s, idxs)
-	}
-	wg.Wait()
+	})
 	return results
 }
 
-// doWritev runs one stream's batch of stripe writes as vectored frames,
-// retrying the whole vector under the driver's policy. Every segment is an
-// absolute-offset write, so a replay after a mid-vector transport failure
-// converges to the same file contents, exactly like a replayed WriteAt.
-func (f *srbFile) doWritev(s *stream, segs []srb.WriteSeg) (int, error) {
-	pol := f.fs.cfg.Retry
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		file, gen := s.handle()
-		if file == nil {
-			n, err = 0, errStreamDown
-		} else {
-			n, err = file.WriteAtVec(segs)
-		}
-		if err == nil {
-			if attempt > 0 {
-				f.retriedOps.Add(1)
-				f.tracer.Count("srbfs.retried_ops", 1)
-			}
-			f.tracer.Count(s.writeCtr, int64(n))
-			return n, nil
-		}
-		if !pol.Enabled() || !srb.Retryable(err) {
-			return n, err
-		}
-		if attempt+1 >= pol.MaxAttempts {
-			return n, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		time.Sleep(pol.BackoffFor(attempt, err))
-		if errors.Is(err, srb.ErrServerBusy) || errors.Is(err, srb.ErrRateLimited) {
-			continue
-		}
-		if rerr := f.recoverStream(s, gen); rerr != nil {
-			if !srb.Retryable(rerr) {
-				return n, rerr
-			}
-		}
-	}
-}
-
-// writevStream coalesces one stream's stripes into vectored opWritev
-// frames. The server applies segments in order and acknowledges a byte
-// total, so results are distributed greedily over the ops in offset order
-// and the error (if any) lands on the first op that came up short.
-func (f *srbFile) writevStream(st *stream, ops []op, idxs []int, results []opResult) {
+// writev sends one stream's pieces as vectored opWritev frames, the whole
+// vector retried as a unit: every segment is an absolute-offset write, so a
+// replay after a mid-vector transport failure converges to the same file
+// contents, exactly like a replayed WriteAt.
+func (f *srbFile) writev(st *stream, pieces []piece, idxs []int, results []opResult) {
 	segs := make([]srb.WriteSeg, len(idxs))
 	for k, i := range idxs {
-		segs[k] = srb.WriteSeg{Off: ops[i].off, Data: ops[i].buf}
+		segs[k] = srb.WriteSeg{Off: pieces[i].lOff, Data: pieces[i].buf}
 	}
-	n, err := f.doWritev(st, segs)
-	rem := n
-	attached := err == nil
-	for _, i := range idxs {
-		want := len(ops[i].buf)
-		got := want
-		if rem < got {
-			got = rem
-		}
-		rem -= got
-		r := opResult{n: got}
-		if got < want && !attached {
-			r.err = err
-			attached = true
-		}
-		results[i] = r
+	n, err := f.retry(st, func(file *srb.File) (int, error) { return file.WriteAtVec(segs) })
+	f.moved(st.writeCtr, n, err)
+	spread(pieces, idxs, n, err, results)
+}
+
+// readv gathers one stream's pieces in one vectored opReadv exchange,
+// retried as a unit. io.EOF is a result, not a failure: the short piece
+// shows it and prefix reports it.
+func (f *srbFile) readv(st *stream, pieces []piece, idxs []int, results []opResult) {
+	segs := make([]srb.ReadSeg, len(idxs))
+	for k, i := range idxs {
+		segs[k] = srb.ReadSeg{Off: pieces[i].lOff, Buf: pieces[i].buf}
 	}
-	if !attached {
-		// Every byte was acknowledged yet the vector still failed (e.g. a
-		// transport tear after the last frame's reply was consumed): the
-		// error belongs past the end of the run.
-		results[idxs[len(idxs)-1]].err = err
+	n, err := f.retry(st, func(file *srb.File) (int, error) { return file.ReadAtVec(segs) })
+	f.moved(st.readCtr, n, err)
+	if errors.Is(err, io.EOF) {
+		err = nil
 	}
+	spread(pieces, idxs, n, err, results)
 }
 
 // readPipelineDepth bounds concurrent explicit-offset reads in flight per
@@ -565,269 +458,82 @@ func (f *srbFile) writevStream(st *stream, ops []op, idxs []int, results []opRes
 // unbounded read-buffer pressure on the server.
 const readPipelineDepth = 8
 
-// readStream issues one stream's stripe reads concurrently, exploiting
-// connection pipelining: the stream's round trips overlap instead of
-// queueing behind each other.
-func (f *srbFile) readStream(st *stream, ops []op, idxs []int, results []opResult) {
-	if len(idxs) == 1 {
-		i := idxs[0]
-		n, err := f.doOp(st, false, ops[i].buf, ops[i].off)
-		results[i] = opResult{n: n, err: err}
-		return
-	}
-	sem := make(chan struct{}, readPipelineDepth)
-	var wg sync.WaitGroup
-	for _, i := range idxs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n, err := f.doOp(st, false, ops[i].buf, ops[i].off)
-			results[i] = opResult{n: n, err: err}
-			<-sem
-		}(i)
-	}
-	wg.Wait()
+// readPipelined issues one stream's piece reads concurrently, at most
+// readPipelineDepth in flight.
+func (f *srbFile) readPipelined(st *stream, pieces []piece, idxs []int, results []opResult) {
+	bounded(readPipelineDepth, len(idxs), func(k int) {
+		i := idxs[k]
+		results[i].n, results[i].err = f.rw(st, false, pieces[i].buf, pieces[i].lOff)
+	})
 }
 
-// doReadv runs one stream's batch of ranges as vectored opReadv frames,
-// retrying the whole vector under the driver's policy. A vectored read is
-// idempotent, so a replay after a mid-vector transport failure is safe;
-// io.EOF is a result, not a failure, and is returned with the prefix count.
-func (f *srbFile) doReadv(s *stream, segs []srb.ReadSeg) (int, error) {
-	pol := f.fs.cfg.Retry
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		file, gen := s.handle()
-		if file == nil {
-			n, err = 0, errStreamDown
-		} else {
-			n, err = file.ReadAtVec(segs)
-		}
-		if err == nil || errors.Is(err, io.EOF) {
-			if attempt > 0 {
-				f.retriedOps.Add(1)
-				f.tracer.Count("srbfs.retried_ops", 1)
-			}
-			f.tracer.Count(s.readCtr, int64(n))
-			return n, err
-		}
-		if !pol.Enabled() || !srb.Retryable(err) {
-			return n, err
-		}
-		if attempt+1 >= pol.MaxAttempts {
-			return n, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		time.Sleep(pol.BackoffFor(attempt, err))
-		if errors.Is(err, srb.ErrServerBusy) || errors.Is(err, srb.ErrRateLimited) {
-			continue
-		}
-		if rerr := f.recoverStream(s, gen); rerr != nil {
-			if !srb.Retryable(rerr) {
-				return n, rerr
-			}
-		}
+// striped is ReadAt and WriteAt: with one stream the call is one op on it;
+// with more, it is cut on stripe boundaries and the pieces proceed
+// concurrently.
+func (f *srbFile) striped(p []byte, off int64, write bool) (int, error) {
+	if len(f.streams) == 1 {
+		return f.rw(f.streams[0], write, p, off)
 	}
-}
-
-// readvStream gathers one stream's ranges in one vectored opReadv exchange.
-// The server fills ranges in order and stops at the first short one, so
-// results distribute greedily over the ops in vector order; a hard error
-// lands on the first op that came up short.
-func (f *srbFile) readvStream(st *stream, ops []op, idxs []int, results []opResult) {
-	segs := make([]srb.ReadSeg, len(idxs))
-	for k, i := range idxs {
-		segs[k] = srb.ReadSeg{Off: ops[i].off, Buf: ops[i].buf}
-	}
-	n, err := f.doReadv(st, segs)
-	var hardErr error
-	if err != nil && err != io.EOF {
-		hardErr = err
-	}
-	rem := n
-	attached := hardErr == nil
-	for _, i := range idxs {
-		want := len(ops[i].buf)
-		got := want
-		if rem < got {
-			got = rem
-		}
-		rem -= got
-		r := opResult{n: got}
-		if got < want && !attached {
-			r.err = hardErr
-			attached = true
-		}
-		results[i] = r
-	}
-	if !attached {
-		results[idxs[len(idxs)-1]].err = hardErr
-	}
-}
-
-type opResult struct {
-	n   int
-	err error
+	pieces := plan([]adio.Vec{{Off: off, Buf: p}}, f.layout())
+	return prefix(pieces, f.transfer(pieces, write), write)
 }
 
 // WriteAt implements adio.File, striping across the streams. On error the
-// returned count is the contiguous prefix confirmed written — stripes past
-// the first failure are excluded even if they succeeded out of order,
-// mirroring ReadAt.
-func (f *srbFile) WriteAt(p []byte, off int64) (int, error) {
-	if len(f.streams) == 1 {
-		return f.doOp(f.streams[0], true, p, off)
-	}
-	ops := f.splitStripes(p, off)
-	results := f.runStriped(ops, true)
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil {
-			return total, fmt.Errorf("core: stripe write at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
-}
+// returned count is the contiguous prefix confirmed written, mirroring
+// ReadAt.
+func (f *srbFile) WriteAt(p []byte, off int64) (int, error) { return f.striped(p, off, true) }
 
 // ReadAt implements adio.File. Short reads report the contiguous prefix
 // actually available, with io.EOF when it ends before len(p).
-func (f *srbFile) ReadAt(p []byte, off int64) (int, error) {
-	if len(f.streams) == 1 {
-		return f.doOp(f.streams[0], false, p, off)
-	}
-	ops := f.splitStripes(p, off)
-	results := f.runStriped(ops, false)
-	// Ops are generated in ascending offset order; accumulate the
-	// contiguous prefix.
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil && r.err != io.EOF {
-			return total, fmt.Errorf("core: stripe read at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.EOF
-		}
-	}
-	return total, nil
-}
-
-// splitVecs cuts each vector segment on stripe boundaries, preserving
-// segment order. With one stream everything lands on stream 0 and the wire
-// codec re-merges contiguous pieces, so the split costs table entries only
-// when it buys stream parallelism.
-func (f *srbFile) splitVecs(vecs []adio.Vec) []op {
-	var ops []op
-	for _, v := range vecs {
-		if len(v.Buf) == 0 {
-			continue
-		}
-		ops = append(ops, f.splitStripes(v.Buf, v.Off)...)
-	}
-	return ops
-}
+func (f *srbFile) ReadAt(p []byte, off int64) (int, error) { return f.striped(p, off, false) }
 
 // ReadAtVec implements adio.VectorIO: the whole scatter list moves in one
 // vectored opReadv exchange per stream instead of one round trip per
-// extent. Short reads report the contiguous prefix in segment order with
-// io.EOF, mirroring ReadAt.
+// extent. With one stream everything lands on stream 0 and the wire codec
+// re-merges contiguous pieces, so the stripe cut costs table entries only
+// when it buys stream parallelism. Short reads report the contiguous prefix
+// in segment order with io.EOF, mirroring ReadAt.
 func (f *srbFile) ReadAtVec(vecs []adio.Vec) (int, error) {
-	ops := f.splitVecs(vecs)
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	results := make([]opResult, len(ops))
-	byStream := make([][]int, len(f.streams))
-	for i, o := range ops {
-		byStream[o.stream] = append(byStream[o.stream], i)
-	}
-	var wg sync.WaitGroup
-	for s, idxs := range byStream {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			f.readvStream(f.streams[s], ops, idxs, results)
-		}(s, idxs)
-	}
-	wg.Wait()
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil && r.err != io.EOF {
-			return total, fmt.Errorf("core: vector read at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.EOF
-		}
-	}
-	return total, nil
+	pieces := plan(vecs, f.layout())
+	results := make([]opResult, len(pieces))
+	perTarget(pieces, len(f.streams), func(s int, idxs []int) {
+		f.readv(f.streams[s], pieces, idxs, results)
+	})
+	return prefix(pieces, results, false)
 }
 
-// WriteAtVec implements adio.VectorIO, reusing the striped write machinery:
-// each stream's pieces coalesce into vectored opWritev frames. The count on
-// error is the contiguous prefix in segment order, mirroring WriteAt.
+// WriteAtVec implements adio.VectorIO through the striped write machinery.
+// The count on error is the contiguous prefix in segment order, mirroring
+// WriteAt.
 func (f *srbFile) WriteAtVec(vecs []adio.Vec) (int, error) {
-	ops := f.splitVecs(vecs)
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	results := f.runStriped(ops, true)
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil {
-			return total, fmt.Errorf("core: vector write at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
+	pieces := plan(vecs, f.layout())
+	return prefix(pieces, f.transfer(pieces, true), true)
 }
 
-// metaFile returns the stream-0 file handle for metadata ops.
-func (f *srbFile) metaFile() (*srb.File, error) {
-	file, _ := f.streams[0].handle()
-	if file == nil {
-		return nil, errStreamDown
-	}
-	return file, nil
-}
-
-// Size implements adio.File.
-func (f *srbFile) Size() (int64, error) {
-	file, err := f.metaFile()
-	if err != nil {
+// Size implements adio.File, asking stream 0.
+func (f *srbFile) Size() (size int64, err error) {
+	_, err = f.retry(f.streams[0], func(file *srb.File) (_ int, err error) {
+		size, err = file.Size()
 		return 0, err
-	}
-	return file.Size()
+	})
+	return size, err
 }
 
-// Truncate implements adio.File.
+// Truncate implements adio.File, on stream 0.
 func (f *srbFile) Truncate(size int64) error {
-	file, err := f.metaFile()
-	if err != nil {
-		return err
-	}
-	return file.Truncate(size)
+	_, err := f.retry(f.streams[0], func(file *srb.File) (int, error) {
+		return 0, file.Truncate(size)
+	})
+	return err
 }
 
 // Sync implements adio.File, syncing every stream.
 func (f *srbFile) Sync() error {
 	for _, s := range f.streams {
-		file, _ := s.handle()
-		if file == nil {
-			continue // disconnected stream has nothing buffered
+		if file, _ := s.handle(); file == nil {
+			continue // a disconnected stream has nothing buffered; don't redial it to say so
 		}
-		if err := file.Sync(); err != nil {
+		if _, err := f.retry(s, func(file *srb.File) (int, error) { return 0, file.Sync() }); err != nil {
 			return err
 		}
 	}

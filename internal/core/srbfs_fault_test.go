@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -289,6 +290,26 @@ func TestReconnectSurvivesTransientDialFailure(t *testing.T) {
 	}
 }
 
+// TestOpenDialsAtMostMaxAttempts: dial, handshake and open are one try of
+// the retry loop, so a stream that cannot be opened costs MaxAttempts
+// dials — not MaxAttempts dial retries inside each of MaxAttempts opens.
+func TestOpenDialsAtMostMaxAttempts(t *testing.T) {
+	dials := 0
+	fs, err := NewSRBFS(SRBFSConfig{
+		Dial:  func() (net.Conn, error) { dials++; return nil, netsim.ErrDialFault },
+		Retry: fastRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Open("/unreachable", adio.O_RDWR|adio.O_CREATE, nil); !errors.Is(err, netsim.ErrDialFault) {
+		t.Fatalf("open against a dead dialer: %v", err)
+	}
+	if want := fastRetry().MaxAttempts; dials != want {
+		t.Fatalf("open dialed %d times, want %d", dials, want)
+	}
+}
+
 func TestTerminalErrorNotRetried(t *testing.T) {
 	d, fs := faultFS(t, SRBFSConfig{Streams: 1, Retry: fastRetry()})
 	f, err := fs.Open("/terminal", adio.O_RDONLY|adio.O_CREATE, nil)
@@ -366,6 +387,61 @@ func TestReconnectDoesNotTruncate(t *testing.T) {
 	}
 	if !bytes.Equal(got[len(first):], second) {
 		t.Fatal("post-reconnect write corrupted")
+	}
+}
+
+// TestMetadataOpsRideTheRetryLoop: Size, Truncate and Sync are idempotent
+// and go through the same retry loop as the data ops, so a stream reset
+// between data ops is redialed instead of surfacing as a terminal transport
+// error. Size and Truncate live on stream 0 and cost one reconnect; Sync
+// visits every stream.
+func TestMetadataOpsRideTheRetryLoop(t *testing.T) {
+	const budget = 6
+	payload := bytes.Repeat([]byte("meta"), 40<<10) // 160 KiB: both streams hold stripes
+	cases := []struct {
+		name       string
+		op         func(f adio.File) error
+		reconnects int64
+	}{
+		{"Size", func(f adio.File) error {
+			n, err := f.Size()
+			if err == nil && n != int64(len(payload)) {
+				err = fmt.Errorf("size = %d, want %d", n, len(payload))
+			}
+			return err
+		}, 1},
+		{"Truncate", func(f adio.File) error { return f.Truncate(int64(len(payload))) }, 1},
+		{"Sync", func(f adio.File) error { return f.Sync() }, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d, fs := faultFS(t, SRBFSConfig{Streams: 2, Retry: fastRetry(), ReconnectBudget: budget})
+			f, err := fs.Open("/meta", adio.O_RDWR|adio.O_CREATE, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt(payload, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < d.count(); i++ {
+				d.conn(i).FaultAfter(0, netsim.FaultClose)
+			}
+			before := f.(*srbFile).FaultStats()
+			if err := c.op(f); err != nil {
+				t.Fatalf("%s after every stream was reset: %v", c.name, err)
+			}
+			st := f.(*srbFile).FaultStats()
+			if got := st.Reconnects - before.Reconnects; got != c.reconnects {
+				t.Fatalf("reconnects advanced by %d, want %d", got, c.reconnects)
+			}
+			if got := before.BudgetLeft - st.BudgetLeft; int64(got) != c.reconnects {
+				t.Fatalf("budget charged %d, want %d", got, c.reconnects)
+			}
+			if st.RetriedOps-before.RetriedOps != c.reconnects {
+				t.Fatalf("retried ops = %+v, want one per reconnect", st)
+			}
+		})
 	}
 }
 

@@ -167,23 +167,24 @@ func TestSRBFSTruncFlagOnce(t *testing.T) {
 	}
 }
 
-func TestSRBFSSplitStripes(t *testing.T) {
-	f := &srbFile{stripe: 100, streams: make([]*stream, 2)}
-	buf := make([]byte, 250)
-	ops := f.splitStripes(buf, 50)
-	// [50,100) s0, [100,200) s1, [200,300) s0
-	want := []struct {
-		stream int
-		off    int64
-		n      int
-	}{{0, 50, 50}, {1, 100, 100}, {0, 200, 100}}
-	if len(ops) != len(want) {
-		t.Fatalf("ops = %d", len(ops))
+// TestSRBFSCoalescesPerStream pins the wire shape of a striped write: a
+// stream that carries several stripes of one WriteAt sends them as one
+// vectored request, and a lone stripe is one plain write.
+func TestSRBFSCoalescesPerStream(t *testing.T) {
+	srv, fs := newTestFS(t, 2) // 1 KiB stripes
+	f, err := fs.Open("/coalesce", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, w := range want {
-		if ops[i].stream != w.stream || ops[i].off != w.off || len(ops[i].buf) != w.n {
-			t.Fatalf("op %d = {s%d off%d n%d}, want %+v",
-				i, ops[i].stream, ops[i].off, len(ops[i].buf), w)
+	defer f.Close()
+	for _, c := range []struct{ stripes, requests int64 }{{8, 2}, {1, 1}} {
+		before := srv.Stats().Requests
+		buf := make([]byte, c.stripes<<10)
+		if n, err := f.WriteAt(buf, 0); err != nil || n != len(buf) {
+			t.Fatalf("%d-stripe write = %d, %v", c.stripes, n, err)
+		}
+		if got := srv.Stats().Requests - before; got != c.requests {
+			t.Fatalf("%d-stripe write over 2 streams cost %d requests, want %d", c.stripes, got, c.requests)
 		}
 	}
 }

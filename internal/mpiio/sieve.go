@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"semplar/internal/adio"
+	"semplar/internal/bufpool"
 	"semplar/internal/trace"
 )
 
@@ -92,56 +91,18 @@ func parseSieveHints(hints adio.Hints) (sieveConfig, error) {
 	return cfg, nil
 }
 
-// Sieve window buffers are pooled in size classes, srb/bufpool-style: RMW
-// cycles at WAN latency leave windows alive for a round trip, and without
-// pooling each cycle pays a window-sized allocation. The default class
-// ladder tops out above the default window so the common case always pools.
-var sieveClasses = [...]int{64 << 10, defaultSieveBufSize, 2 << 20}
+// Sieve window buffers are pooled: RMW cycles at WAN latency leave windows
+// alive for a round trip, and without pooling each cycle pays a
+// window-sized allocation. The class ladder tops out above the default
+// window so the common case always pools. Every window is released before
+// its viewIO call returns — including every error path — so tests diff the
+// pool's Balance around injected failures.
+var sievePool = bufpool.New(64<<10, defaultSieveBufSize, 2<<20)
 
-var sievePools = func() []*sync.Pool {
-	pools := make([]*sync.Pool, len(sieveClasses))
-	for i, size := range sieveClasses {
-		size := size
-		pools[i] = &sync.Pool{New: func() any {
-			b := make([]byte, size)
-			return &b
-		}}
-	}
-	return pools
-}()
-
-// sieveBufGets/sieveBufPuts count pooled window hand-outs and returns. Every
-// sieve window is released before its viewIO call returns — including every
-// error path — so tests diff the counters around injected failures to pin
-// pool balance.
-var sieveBufGets, sieveBufPuts atomic.Int64
-
-// getSieveBuf returns a window buffer of length n backed by pooled storage;
-// oversized requests fall back to a plain allocation.
-func getSieveBuf(n int) []byte {
-	for i, size := range sieveClasses {
-		if n <= size {
-			b := *sievePools[i].Get().(*[]byte)
-			sieveBufGets.Add(1)
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// putSieveBuf returns a window buffer to its size-class pool. Buffers whose
-// capacity is not exactly a pool class are ignored.
-func putSieveBuf(b []byte) {
-	c := cap(b)
-	for i, size := range sieveClasses {
-		if c == size {
-			b = b[:size]
-			sievePools[i].Put(&b)
-			sieveBufPuts.Add(1)
-			return
-		}
-	}
-}
+// getBuf and putBuf are the package's pool entry points; the pooluse lint
+// rule tracks buffer ownership by these names.
+func getBuf(n int) []byte { return sievePool.Get(n) }
+func putBuf(b []byte)     { sievePool.Put(b) }
 
 // sieveWindow describes one sieve window: a run of k frames (the last
 // possibly partial) covering `take` logical bytes starting at `logical`,
@@ -221,13 +182,13 @@ func (f *File) sievedRead(v View, p []byte, off int64) (int, error) {
 			n, err := f.naiveViewIO(v, p[total:], off+int64(total), false)
 			return total + n, err
 		}
-		buf := getSieveBuf(int(w.physLen))
+		buf := getBuf(int(w.physLen))
 		sp := f.tracer.Begin("mpiio", "sieve.window", f.lane)
 		n, rerr := f.inner.ReadAt(buf[:w.physLen], w.physStart)
 		sp.End(trace.Int("phys", w.physLen), trace.Int("logical", w.take))
 		f.counters.recordPhys(true, n)
 		if rerr != nil && rerr != io.EOF {
-			putSieveBuf(buf)
+			putBuf(buf)
 			return total, rerr
 		}
 		short := false
@@ -247,7 +208,7 @@ func (f *File) sievedRead(v View, p []byte, off int64) (int, error) {
 			}
 			return true
 		})
-		putSieveBuf(buf)
+		putBuf(buf)
 		if short {
 			return total, io.EOF
 		}
@@ -272,13 +233,13 @@ func (f *File) sievedWrite(v View, p []byte, off int64) (int, error) {
 			n, err := f.naiveViewIO(v, p[total:], off+int64(total), true)
 			return total + n, err
 		}
-		buf := getSieveBuf(int(w.physLen))
+		buf := getBuf(int(w.physLen))
 		sp := f.tracer.Begin("mpiio", "sieve.window", f.lane)
 		//lint:allow lockheld -- f.sieveMu IS the RMW serialization point: the window must not change between its read and write-back
 		n, rerr := f.inner.ReadAt(buf[:w.physLen], w.physStart)
 		f.counters.recordPhys(true, n)
 		if rerr != nil && rerr != io.EOF {
-			putSieveBuf(buf)
+			putBuf(buf)
 			sp.End(trace.Int("phys", w.physLen), trace.Int("logical", int64(0)))
 			return total, rerr
 		}
@@ -293,7 +254,7 @@ func (f *File) sievedWrite(v View, p []byte, off int64) (int, error) {
 		wn, werr := f.inner.WriteAt(buf[:w.physLen], w.physStart)
 		f.counters.recordPhys(false, wn)
 		sp.End(trace.Int("phys", w.physLen), trace.Int("logical", w.take))
-		putSieveBuf(buf)
+		putBuf(buf)
 		if werr != nil || int64(wn) < w.physLen {
 			// Count the logical prefix confirmed on disk: pieces wholly
 			// below physStart+wn.

@@ -267,11 +267,12 @@ func TestSievePoolBalanceUnderErrors(t *testing.T) {
 	}
 	for _, o := range ops {
 		t.Run(o.name, func(t *testing.T) {
-			gets0, puts0 := sieveBufGets.Load(), sieveBufPuts.Load()
+			gets0, puts0 := sievePool.Balance()
 			// Seed the file so reads have something to sieve, then run the op.
 			run(0, 0, func(f *File) error { _, err := f.WriteAt(data, 0); return err })
 			run(o.failRead, o.failWrite, o.op)
-			gets, puts := sieveBufGets.Load()-gets0, sieveBufPuts.Load()-puts0
+			gets, puts := sievePool.Balance()
+			gets, puts = gets-gets0, puts-puts0
 			if gets != puts {
 				t.Fatalf("sieve pool imbalance: %d gets, %d puts", gets, puts)
 			}

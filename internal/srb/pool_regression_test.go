@@ -32,7 +32,8 @@ func (failObj) Close() error                             { return nil }
 var _ storage.Object = failObj{}
 
 func poolDeltas(gets0, puts0 int64) (int64, int64) {
-	return bufPoolGets.Load() - gets0, bufPoolPuts.Load() - puts0
+	gets, puts := payloadPool.Balance()
+	return gets - gets0, puts - puts0
 }
 
 // waitPoolBalanced polls until every pooled get since the snapshot has a
@@ -61,7 +62,7 @@ func TestReadErrorRecyclesBuffer(t *testing.T) {
 		srv:   srv,
 		files: map[int32]*openFile{1: {obj: failObj{}, path: "/bad", flags: O_RDWR}},
 	}
-	gets0, puts0 := bufPoolGets.Load(), bufPoolPuts.Load()
+	gets0, puts0 := payloadPool.Balance()
 	resp := sess.read(&request{op: opRead, handle: 1, length: 4096, offset: 0})
 	if resp.status == statusOK {
 		t.Fatalf("read against failObj succeeded: %+v", resp)
@@ -157,7 +158,7 @@ func TestServeConnWriteFailureRecyclesResponse(t *testing.T) {
 	// bufio chunking of the read response, so that write fails mid-frame.
 	conn := newBudgetConn(script.Bytes(), 1<<10)
 	srv := NewMemServer(storage.DeviceSpec{})
-	gets0, puts0 := bufPoolGets.Load(), bufPoolPuts.Load()
+	gets0, puts0 := payloadPool.Balance()
 
 	srv.ServeConn(conn) // synchronous: returns when the write failure kills the conn
 

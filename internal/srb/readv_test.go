@@ -234,7 +234,7 @@ func TestReadvPoolBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Settle in-flight pool traffic from setup before diffing.
-	gets0, puts0 := bufPoolGets.Load(), bufPoolPuts.Load()
+	gets0, puts0 := payloadPool.Balance()
 	for i := 0; i < 10; i++ {
 		if _, err := f.ReadAtVec([]ReadSeg{{Off: 0, Buf: make([]byte, 100)}, {Off: 500, Buf: make([]byte, 100)}}); err != nil {
 			t.Fatal(err)
@@ -246,8 +246,7 @@ func TestReadvPoolBalance(t *testing.T) {
 			t.Fatalf("invalid read err = %v", err)
 		}
 	}
-	gets, puts := bufPoolGets.Load()-gets0, bufPoolPuts.Load()-puts0
-	if gets != puts {
+	if gets, puts := poolDeltas(gets0, puts0); gets != puts {
 		t.Fatalf("pool imbalance across readv paths: %d gets, %d puts", gets, puts)
 	}
 }

@@ -176,6 +176,61 @@ func Retryable(err error) bool {
 	return true
 }
 
+// Do is the client stack's one retry loop: it runs try until it succeeds,
+// fails terminally (Retryable false — io.EOF included, a result rather than
+// a failure), or the policy's attempts are spent, sleeping BackoffFor
+// between attempts. It returns how many attempts ran and the last error,
+// marked with the attempt count when more than one was made.
+//
+// recovery, when non-nil, runs after each backoff to repair whatever the
+// failed attempt broke (redial a dead stream) before the next try. It is
+// skipped for ErrServerBusy and ErrRateLimited: both are status replies
+// from a healthy server over a healthy connection, so the replay reuses it
+// and spends nothing but the backoff. A terminal error from recovery ends
+// the loop; a transient one is left for the next try to trip over.
+func (p RetryPolicy) Do(try func() error, recovery func() error) (attempts int, err error) {
+	return p.do(time.Sleep, try, recovery)
+}
+
+// do is Do with the sleeper injected, so tests record the backoff schedule
+// instead of waiting it out.
+func (p RetryPolicy) do(sleep func(time.Duration), try func() error, recovery func() error) (int, error) {
+	for attempt := 1; ; attempt++ {
+		err := try()
+		if err == nil || !Retryable(err) {
+			return attempt, err
+		}
+		if attempt >= p.MaxAttempts {
+			if attempt > 1 {
+				err = fmt.Errorf("srb: giving up after %d attempts: %w", attempt, err)
+			}
+			return attempt, err
+		}
+		sleep(p.BackoffFor(attempt-1, err))
+		if recovery == nil || errors.Is(err, ErrServerBusy) || errors.Is(err, ErrRateLimited) {
+			continue
+		}
+		if rerr := recovery(); rerr != nil && !Retryable(rerr) {
+			return attempt, rerr
+		}
+	}
+}
+
+// DialAuth makes one attempt at a ready connection: dial, handshake with
+// the tenant credentials, install the per-operation deadline.
+func DialAuth(dial func() (net.Conn, error), user string, cred Credentials, opTimeout time.Duration) (*Conn, error) {
+	raw, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	conn, err := NewConnAuth(raw, user, cred)
+	if err != nil {
+		return nil, err
+	}
+	conn.SetOpTimeout(opTimeout)
+	return conn, nil
+}
+
 // DialRetry dials and handshakes an anonymous connection, retrying
 // transient failures (unreachable server, broken handshake) under the
 // policy. The returned connection has the policy's per-operation deadline
@@ -188,31 +243,10 @@ func DialRetry(dial func() (net.Conn, error), user string, pol RetryPolicy) (*Co
 // terminal and returned immediately — re-dialing with the same bad key
 // would only hammer the server.
 func DialRetryAuth(dial func() (net.Conn, error), user string, cred Credentials, pol RetryPolicy) (*Conn, error) {
-	attempts := pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(pol.BackoffFor(i-1, lastErr))
-		}
-		raw, err := dial()
-		if err == nil {
-			var conn *Conn
-			conn, err = NewConnAuth(raw, user, cred)
-			if err == nil {
-				conn.SetOpTimeout(pol.OpTimeout)
-				return conn, nil
-			}
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	if attempts > 1 {
-		return nil, fmt.Errorf("srb: dial failed after %d attempts: %w", attempts, lastErr)
-	}
-	return nil, lastErr
+	var conn *Conn
+	_, err := pol.Do(func() (err error) {
+		conn, err = DialAuth(dial, user, cred, pol.OpTimeout)
+		return err
+	}, nil)
+	return conn, err
 }

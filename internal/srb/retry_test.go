@@ -312,3 +312,88 @@ func TestConnCallVsCloseRace(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestRetryScheduleOnRecordedSleeper drives the one retry loop with a
+// recording sleeper instead of the wall clock and pins its schedule: how
+// many attempts run, when it sleeps and for how long, when the recovery
+// step runs, and which errors end it on the spot.
+func TestRetryScheduleOnRecordedSleeper(t *testing.T) {
+	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Multiplier: 2}
+	hint := &RateLimitedError{RetryAfter: 700 * time.Millisecond}
+	reset := fmt.Errorf("%w: reset", ErrTransport)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+
+	cases := []struct {
+		name       string
+		pol        RetryPolicy
+		errs       []error // what successive tries return; the last repeats
+		recoverErr error   // what the recovery step returns
+		noRecovery bool    // pass a nil recovery step
+		attempts   int
+		sleeps     []time.Duration
+		recoveries int
+		wantIs     error // nil = success
+	}{
+		{name: "first try succeeds", pol: pol, errs: []error{nil}, attempts: 1},
+		{name: "transport failure recovers and replays", pol: pol, errs: []error{reset, nil},
+			attempts: 2, sleeps: []time.Duration{ms(10)}, recoveries: 1},
+		{name: "exhaustion: MaxAttempts tries, no sleep after the last", pol: pol, errs: []error{reset},
+			attempts: 4, sleeps: []time.Duration{ms(10), ms(20), ms(40)}, recoveries: 3, wantIs: ErrTransport},
+		{name: "rate-limit hint floors the sleep, smaller steps only", pol: pol, errs: []error{hint, hint, nil},
+			attempts: 3, sleeps: []time.Duration{ms(700), ms(700)}},
+		{name: "a backoff above the hint is not shortened",
+			pol:  RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, MaxBackoff: 4 * time.Second, Multiplier: 2},
+			errs: []error{hint, nil}, attempts: 2, sleeps: []time.Duration{time.Second}},
+		{name: "busy and rate-limited replay without the recovery step", pol: pol,
+			errs:     []error{ErrServerBusy, hint, reset, nil},
+			attempts: 4, sleeps: []time.Duration{ms(10), ms(700), ms(40)}, recoveries: 1},
+		{name: "terminal status returns on the first attempt", pol: pol, errs: []error{ErrNotFound},
+			attempts: 1, wantIs: ErrNotFound},
+		{name: "io.EOF is a result, not a failure", pol: pol, errs: []error{io.EOF},
+			attempts: 1, wantIs: io.EOF},
+		{name: "terminal recovery error ends the loop", pol: pol, errs: []error{reset},
+			recoverErr: ErrIO, attempts: 1, sleeps: []time.Duration{ms(10)}, recoveries: 1, wantIs: ErrIO},
+		{name: "transient recovery error leaves the next try to trip over it", pol: pol, errs: []error{reset, nil},
+			recoverErr: netsim.ErrDialFault, attempts: 2, sleeps: []time.Duration{ms(10)}, recoveries: 1},
+		{name: "no recovery step", pol: pol, errs: []error{reset, reset, nil}, noRecovery: true,
+			attempts: 3, sleeps: []time.Duration{ms(10), ms(20)}},
+		{name: "zero policy fails fast with the bare error", errs: []error{reset},
+			attempts: 1, wantIs: ErrTransport},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var sleeps []time.Duration
+			tries, recoveries := 0, 0
+			recovery := func() error {
+				recoveries++
+				return c.recoverErr
+			}
+			if c.noRecovery {
+				recovery = nil
+			}
+			attempts, err := c.pol.do(
+				func(d time.Duration) { sleeps = append(sleeps, d) },
+				func() error {
+					e := c.errs[min(tries, len(c.errs)-1)]
+					tries++
+					return e
+				},
+				recovery)
+			if attempts != c.attempts || tries != c.attempts {
+				t.Fatalf("attempts = %d (%d tries), want %d", attempts, tries, c.attempts)
+			}
+			if fmt.Sprint(sleeps) != fmt.Sprint(c.sleeps) {
+				t.Fatalf("sleeps = %v, want %v", sleeps, c.sleeps)
+			}
+			if recoveries != c.recoveries {
+				t.Fatalf("recovery ran %d times, want %d", recoveries, c.recoveries)
+			}
+			if !errors.Is(err, c.wantIs) || (c.wantIs == nil) != (err == nil) {
+				t.Fatalf("err = %v, want %v", err, c.wantIs)
+			}
+			if !c.pol.Enabled() && err != reset {
+				t.Fatalf("disabled policy decorated the error: %v", err)
+			}
+		})
+	}
+}
