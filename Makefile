@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # -fuzz <name> ./internal/srb` with no time limit).
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke loc
+.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench loc
 
 check: vet build test race lint fuzz-short chaos-short
 
@@ -73,22 +73,11 @@ chaos-short:
 chaos-long:
 	$(GO) test -tags chaoslong ./internal/chaos -run TestChaosLong -count=1 -v
 
-# Wire hot-path snapshot (pipelining, a coalesced striped write, allocs/op,
-# 1-vs-3-server federated striping, strided-read fast paths, fair-share
-# p99 under a flooding neighbor): writes $(BENCH_SNAP) for committing
-# alongside the change it measures, then runs the paper-figure benchmarks.
-BENCH_SNAP ?= BENCH_10.json
-
+# The benchmark (bench/README.md): ten runs of every workload, written to
+# bench-<commit>.json. Compare two commits with alternating runs on one
+# host: go run ./bench -compare bench-<a>.json bench-<b>.json
 bench:
-	$(GO) run ./cmd/benchsnap -out $(BENCH_SNAP)
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Tiny benchsnap run (result discarded): proves the measurement harness
-# still works, that neither pipelining nor the sieved strided read has
-# regressed below its naive baseline, and that a flooding tenant is shed
-# at its bucket instead of wrecking its neighbor's p99. Wired into CI.
-bench-smoke:
-	$(GO) run ./cmd/benchsnap -quick -out -
+	$(GO) run ./bench -repeat 10 -out bench-$$(git rev-parse --short HEAD).json
 
 # Size of the code that ships: lines of non-test Go outside bench/ and any
 # testdata/, in total and per top-level package directory. "Less code" is a

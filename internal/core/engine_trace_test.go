@@ -45,8 +45,10 @@ func TestEngineTraceStress(t *testing.T) {
 			if inf := tr.Counter(GaugeInflight); inf < 0 || inf > threads {
 				t.Errorf("inflight gauge out of [0,%d]: %d", threads, inf)
 			}
-			sub := tr.Counter(CountSubmitted)
+			// Completed first: it never exceeds submitted at any instant,
+			// and submitted only grows before the second read.
 			comp := tr.Counter(CountCompleted)
+			sub := tr.Counter(CountSubmitted)
 			if sub < lastSub {
 				t.Errorf("submitted counter went backwards: %d -> %d", lastSub, sub)
 			}

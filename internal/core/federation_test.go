@@ -96,6 +96,12 @@ func TestFedWriteReadRoundTrip(t *testing.T) {
 	if n, err := f.WriteAt(content, 0); err != nil || n != len(content) {
 		t.Fatalf("write = %d, %v", n, err)
 	}
+	// A width-3 write spreads over the whole fleet: no shard sits idle.
+	for _, name := range fc.names {
+		if w := fc.servers[name].Stats().BytesWritten; w == 0 {
+			t.Fatalf("shard %s wrote no bytes", name)
+		}
+	}
 	if sz, err := f.Size(); err != nil || sz != int64(len(content)) {
 		t.Fatalf("size = %d, %v (want %d)", sz, err, len(content))
 	}

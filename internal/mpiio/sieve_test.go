@@ -335,17 +335,22 @@ func TestListIOSparseView(t *testing.T) {
 
 // TestSieveAmplificationStats: sieved access moves window bytes through the
 // driver while the application sees logical bytes — FileStats must expose
-// both so the amplification is observable.
+// both so the amplification is observable, and the amplification must buy
+// fewer driver round trips than the naive loop.
 func TestSieveAmplificationStats(t *testing.T) {
-	reg := memRegistry()
-	prepFile(t, reg, "mem:/f", pattern(8192, 5))
-	f, err := OpenLocal(reg, "mem:/f", adio.O_RDWR, adio.Hints{"listio": "off", "sieve_buf_size": "1024"})
+	ctl := &faultCtl{} // no fault injected: it only counts driver calls
+	reg := &adio.Registry{}
+	reg.Register(&faultDriver{mem: adio.NewMemFS(), ctl: ctl})
+	prepFile(t, reg, "fault:/f", pattern(8192, 5))
+	view := View{BlockLen: 16, Stride: 64}
+	f, err := OpenLocal(reg, "fault:/f", adio.O_RDWR, adio.Hints{"listio": "off", "sieve_buf_size": "1024"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetView(View{BlockLen: 16, Stride: 64})
+	f.SetView(view)
 
+	ctl.reads = 0
 	if _, err := f.ReadAt(make([]byte, 512), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -356,6 +361,21 @@ func TestSieveAmplificationStats(t *testing.T) {
 	// 512 logical bytes at density 1/4 touch ~2048 physical bytes.
 	if st.PhysBytesRead < 3*st.BytesRead {
 		t.Fatalf("PhysBytesRead = %d, expected ~4x logical %d", st.PhysBytesRead, st.BytesRead)
+	}
+	naive, err := OpenLocal(reg, "fault:/f", adio.O_RDONLY, naiveHints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer naive.Close()
+	naive.SetView(view)
+	sieved := ctl.reads
+	ctl.reads = 0
+	if _, err := naive.ReadAt(make([]byte, 512), 0); err != nil {
+		t.Fatal(err)
+	}
+	if windows := int((st.PhysBytesRead + 1023) / 1024); sieved > windows || ctl.reads != 512/16 {
+		t.Fatalf("driver reads: sieved %d (want <= %d windows), naive %d (want one per frame, %d)",
+			sieved, windows, ctl.reads, 512/16)
 	}
 	if _, err := f.WriteAt(make([]byte, 512), 0); err != nil {
 		t.Fatal(err)

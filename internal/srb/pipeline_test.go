@@ -65,6 +65,68 @@ func TestPipelinedCallsConcurrent(t *testing.T) {
 	}
 }
 
+// TestCallsPipelineOnOneConn is the regression gate for pipelining: n
+// concurrent WriteAts on one connection must all reach the server before it
+// sends its first response. A Conn.call that waited for each response before
+// sending the next request would deliver one and then stall until the
+// server's read deadline.
+func TestCallsPipelineOnOneConn(t *testing.T) {
+	const n = 8
+	cEnd, sEnd := net.Pipe()
+	held := make(chan int, 1)
+	go func() {
+		defer sEnd.Close()
+		br := bufio.NewReader(sEnd)
+		bw := bufio.NewWriter(sEnd)
+		for _, v := range []int64{protoVer, 7} { // handshake, open
+			req, err := readRequest(br)
+			if err != nil {
+				return
+			}
+			writeResponse(bw, &response{seq: req.seq, value: v})
+			bw.Flush()
+		}
+		sEnd.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var reqs []*request
+		for len(reqs) < n {
+			req, err := readRequest(br)
+			if err != nil {
+				break
+			}
+			reqs = append(reqs, req)
+		}
+		held <- len(reqs)
+		for _, req := range reqs {
+			writeResponse(bw, &response{seq: req.seq, value: int64(len(req.data))})
+		}
+		bw.Flush()
+	}()
+	conn, err := NewConn(cEnd, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f, err := conn.Open("/pipe", O_RDWR, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := f.WriteAt(make([]byte, 64), int64(i)*64)
+			errs <- err
+		}()
+	}
+	if got := <-held; got != n {
+		t.Fatalf("server held %d requests before its first response, want %d: calls are serialised", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSeqWraparound drives the tag counter across the uint32 boundary:
 // calls keep completing, and tag 0 is never issued.
 func TestSeqWraparound(t *testing.T) {

@@ -74,6 +74,9 @@ type Server struct {
 	resources  map[string]storage.Store
 	defaultRes string
 
+	// createMu makes create-or-open one step: see session.lookupOrCreate.
+	createMu sync.Mutex
+
 	handleSeq int64
 
 	limits   Limits       // immutable after first Serve/ServeConn; see SetLimits
@@ -783,31 +786,10 @@ func (ss *session) open(req *request) *response {
 		resource = string(req.data)
 	}
 
-	e, err := s.cat.Lookup(req.path)
-	switch {
-	case err == nil:
-		if e.Type == mcat.TypeCollection {
-			return errResp(ErrIsDir)
-		}
-		if flags&O_EXCL != 0 && flags&O_CREATE != 0 {
-			return errResp(ErrExists)
-		}
-	case err == mcat.ErrNotFound && flags&O_CREATE != 0:
-		e, err = s.cat.CreateFileAs(req.path, resource, ss.owner())
-		if err != nil {
-			return errResp(mapCatErr(err))
-		}
-		st, serr := s.store(e.Resource)
-		if serr != nil {
-			return errResp(serr)
-		}
-		if _, cerr := st.Create(e.PhysicalKey); cerr != nil && cerr != storage.ErrExists {
-			return errResp(fmt.Errorf("%w: %v", ErrIO, cerr))
-		}
-	default:
-		return errResp(mapCatErr(err))
+	e, err := ss.lookupOrCreate(req.path, resource, flags)
+	if err != nil {
+		return errResp(err)
 	}
-
 	obj, err := s.openPhysical(e)
 	if err != nil {
 		return errResp(err)
@@ -830,6 +812,44 @@ func (ss *session) open(req *request) *response {
 	ss.files[h] = of
 	atomic.AddInt64(&s.stats.OpenHandles, 1)
 	return &response{value: int64(h)}
+}
+
+// lookupOrCreate resolves an open's catalog entry. An O_CREATE open holds
+// createMu from the lookup through the physical create, so concurrent
+// creators of one path agree on a single winner, and none of the others
+// can reach the entry before its physical object exists.
+func (ss *session) lookupOrCreate(p, resource string, flags uint32) (*mcat.Entry, error) {
+	s := ss.srv
+	if flags&O_CREATE != 0 {
+		s.createMu.Lock()
+		defer s.createMu.Unlock()
+	}
+	e, err := s.cat.Lookup(p)
+	switch {
+	case err == nil:
+		if e.Type == mcat.TypeCollection {
+			return nil, ErrIsDir
+		}
+		if flags&O_EXCL != 0 && flags&O_CREATE != 0 {
+			return nil, ErrExists
+		}
+		return e, nil
+	case err == mcat.ErrNotFound && flags&O_CREATE != 0:
+		e, err = s.cat.CreateFileAs(p, resource, ss.owner())
+		if err != nil {
+			return nil, mapCatErr(err)
+		}
+		st, err := s.store(e.Resource)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := st.Create(e.PhysicalKey); err != nil && err != storage.ErrExists {
+			return nil, fmt.Errorf("%w: %v", ErrIO, err)
+		}
+		return e, nil
+	default:
+		return nil, mapCatErr(err)
+	}
 }
 
 func (ss *session) lookupHandle(h int32) (*openFile, *response) {

@@ -177,6 +177,78 @@ func TestOpenFlags(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreateOpen is the regression for the create-or-open race:
+// sessions that open one new path at the same moment must agree on one
+// file. With O_CREATE every open succeeds; with O_CREATE|O_EXCL exactly one
+// wins and the rest get ErrExists.
+func TestConcurrentCreateOpen(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name    string
+		flags   int
+		winners int
+	}{
+		{"create", O_RDWR | O_CREATE, n},
+		{"create-excl", O_RDWR | O_CREATE | O_EXCL, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewMemServer(storage.DeviceSpec{})
+			conns := make([]*Conn, n)
+			for i := range conns {
+				conns[i] = connectTo(t, srv)
+			}
+			files := make([]*File, n)
+			errs := make([]error, n)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, c := range conns {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					files[i], errs[i] = c.Open("/race", tc.flags, "")
+				}()
+			}
+			close(start)
+			wg.Wait()
+
+			var won []*File
+			for i, err := range errs {
+				switch {
+				case err == nil:
+					won = append(won, files[i])
+				case tc.winners == n || !errors.Is(err, ErrExists):
+					t.Errorf("open %d: %v", i, err)
+				}
+			}
+			if len(won) != tc.winners {
+				t.Fatalf("%d opens succeeded, want %d", len(won), tc.winners)
+			}
+			// One file: a byte written through each handle is visible
+			// through every other, and the store holds one object.
+			for i, f := range won {
+				if _, err := f.WriteAt([]byte{byte(i + 1)}, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range won {
+				got := make([]byte, len(won))
+				if _, err := f.ReadAt(got, 0); err != nil {
+					t.Fatal(err)
+				}
+				for i, b := range got {
+					if b != byte(i+1) {
+						t.Fatalf("byte %d = %d through another handle, want %d", i, b, i+1)
+					}
+				}
+			}
+			if keys := srv.Resource("mem").Keys(); len(keys) != 1 {
+				t.Fatalf("store holds %d objects, want 1", len(keys))
+			}
+		})
+	}
+}
+
 func TestCollectionsOverWire(t *testing.T) {
 	_, conn := startPair(t)
 	if err := conn.Mkdir("/proj"); err != nil {

@@ -1,7 +1,6 @@
 // Package stats holds the small measurement vocabulary shared by the
-// workloads and the experiment harness: phase accounting, overlap
-// efficiency (the paper's "percentage of maximum expected speedup"),
-// bandwidth conversions and printable series.
+// workloads and the experiment harness: phase accounting, bandwidth
+// conversion and printable series.
 package stats
 
 import (
@@ -18,9 +17,6 @@ type Phases struct {
 	IO      time.Duration
 }
 
-// Total is the serialized (no overlap) duration.
-func (p Phases) Total() time.Duration { return p.Compute + p.IO }
-
 // Expected is the best achievable execution time with perfect overlap:
 // the larger of the two phases (Section 7.1's model).
 func (p Phases) Expected() time.Duration {
@@ -30,39 +26,6 @@ func (p Phases) Expected() time.Duration {
 	return p.IO
 }
 
-// MaxSpeedup is the speedup a perfect overlap would deliver over fully
-// serialized execution.
-func (p Phases) MaxSpeedup() float64 {
-	e := p.Expected()
-	if e == 0 {
-		return 1
-	}
-	return float64(p.Total()) / float64(e)
-}
-
-// OverlapEfficiency reports the fraction of the maximum expected speedup a
-// measured async run achieved: speedup(sync→async) / maxSpeedup, which
-// reduces to expected/async when sync ≈ compute+io.
-func OverlapEfficiency(phases Phases, asyncTime time.Duration) float64 {
-	if asyncTime <= 0 {
-		return 0
-	}
-	eff := float64(phases.Expected()) / float64(asyncTime)
-	if eff > 1 {
-		eff = 1
-	}
-	return eff
-}
-
-// Improvement is the relative execution-time reduction going from base to
-// opt: (base-opt)/base.
-func Improvement(base, opt time.Duration) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return float64(base-opt) / float64(base)
-}
-
 // MbPerSec converts a byte count over a duration to megabits per second —
 // the unit of Figures 8 and 9.
 func MbPerSec(bytes int64, d time.Duration) float64 {
@@ -70,14 +33,6 @@ func MbPerSec(bytes int64, d time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) * 8 / 1e6 / d.Seconds()
-}
-
-// MBPerSec converts to megabytes (2^20) per second.
-func MBPerSec(bytes int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) / (1 << 20) / d.Seconds()
 }
 
 // Series is one plotted line: y values over integer x (processor counts).

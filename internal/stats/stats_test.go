@@ -9,48 +9,8 @@ import (
 
 func TestPhases(t *testing.T) {
 	p := Phases{Compute: 4 * time.Second, IO: 1 * time.Second}
-	if p.Total() != 5*time.Second {
-		t.Fatal("total")
-	}
 	if p.Expected() != 4*time.Second {
 		t.Fatal("expected")
-	}
-	if got := p.MaxSpeedup(); math.Abs(got-1.25) > 1e-9 {
-		t.Fatalf("max speedup = %v", got)
-	}
-	// A perfectly balanced application can improve by up to 50%.
-	bal := Phases{Compute: time.Second, IO: time.Second}
-	if got := bal.MaxSpeedup(); math.Abs(got-2.0) > 1e-9 {
-		t.Fatalf("balanced speedup = %v", got)
-	}
-	if (Phases{}).MaxSpeedup() != 1 {
-		t.Fatal("zero phases")
-	}
-}
-
-func TestOverlapEfficiency(t *testing.T) {
-	p := Phases{Compute: 4 * time.Second, IO: 1 * time.Second}
-	if got := OverlapEfficiency(p, 4*time.Second); got != 1 {
-		t.Fatalf("perfect overlap eff = %v", got)
-	}
-	if got := OverlapEfficiency(p, 5*time.Second); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("no-overlap eff = %v", got)
-	}
-	// Faster than theoretical caps at 1.
-	if got := OverlapEfficiency(p, time.Second); got != 1 {
-		t.Fatalf("capped eff = %v", got)
-	}
-	if OverlapEfficiency(p, 0) != 0 {
-		t.Fatal("zero async time")
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	if got := Improvement(10*time.Second, 8*time.Second); math.Abs(got-0.2) > 1e-9 {
-		t.Fatalf("improvement = %v", got)
-	}
-	if Improvement(0, time.Second) != 0 {
-		t.Fatal("zero base")
 	}
 }
 
@@ -59,10 +19,7 @@ func TestBandwidthUnits(t *testing.T) {
 	if got := MbPerSec(1e6, time.Second); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("MbPerSec = %v", got)
 	}
-	if got := MBPerSec(1<<20, time.Second); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("MBPerSec = %v", got)
-	}
-	if MbPerSec(100, 0) != 0 || MBPerSec(100, 0) != 0 {
+	if MbPerSec(100, 0) != 0 {
 		t.Fatal("zero duration")
 	}
 }
