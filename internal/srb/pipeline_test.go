@@ -8,8 +8,11 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"semplar/internal/storage"
 )
 
 // TestPipelinedCallsConcurrent hammers one connection from many goroutines:
@@ -413,6 +416,187 @@ func TestServerReadAheadBatch(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// countingStore numbers every object ReadAt as it starts, reports the
+// number on reads, and holds ReadAt #1 until release is closed.
+type countingStore struct {
+	storage.Store
+	n       atomic.Int64
+	reads   chan int64 // buffered beyond the three reads a script makes, so ReadAt never waits on it
+	release chan struct{}
+}
+
+func (s *countingStore) Open(key string) (storage.Object, error) {
+	obj, err := s.Store.Open(key)
+	if err != nil {
+		return nil, err
+	}
+	return countingObj{obj, s}, nil
+}
+
+type countingObj struct {
+	storage.Object
+	s *countingStore
+}
+
+func (o countingObj) ReadAt(p []byte, off int64) (int, error) {
+	k := o.s.n.Add(1)
+	o.s.reads <- k
+	if k == 1 {
+		<-o.s.release
+	}
+	return o.Object.ReadAt(p, off)
+}
+
+// wbChunk is the read size of the write-behind scripts: four times bw's
+// 64 KiB buffer, so every read response waits on the conn.
+const wbChunk = 256 << 10
+
+// wbScript is a raw-frame client on a net.Pipe, whose writes block until
+// the peer reads them, facing a ServeConn over a countingStore.
+type wbScript struct {
+	srv    *Server
+	store  *countingStore
+	c      net.Conn
+	served chan struct{} // closed when ServeConn returns
+	data   []byte        // the file's contents: three chunks of a pattern
+}
+
+// startWBScript connects, creates and fills a 3-chunk file, then sends
+// three chunk reads (seq 10, 11, 12) without reading any response. It
+// releases ReadAt #1 only once read #2 is queued behind it, so the first
+// dispatch always sees a request waiting.
+func startWBScript(t *testing.T) *wbScript {
+	t.Helper()
+	h := &wbScript{
+		srv:    NewServer(),
+		store:  &countingStore{Store: storage.NewMemStore(), reads: make(chan int64, 8), release: make(chan struct{})},
+		served: make(chan struct{}),
+		data:   make([]byte, 3*wbChunk),
+	}
+	h.srv.AddResource("mem", "memory", h.store)
+	for i := range h.data {
+		h.data[i] = byte(i * 7)
+	}
+	var sEnd net.Conn
+	h.c, sEnd = net.Pipe()
+	go func() {
+		h.srv.ServeConn(sEnd)
+		close(h.served)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-h.store.release:
+		default:
+			close(h.store.release) // a failed setup must not strand ReadAt #1
+		}
+		h.c.Close()
+		<-h.served
+	})
+
+	h.call(t, &request{op: opConnect, seq: 1, path: "tester"})
+	handle := int32(h.call(t, &request{op: opOpen, seq: 2, path: "/wb", flags: O_RDWR | O_CREATE}).value)
+	if n := h.call(t, &request{op: opWrite, seq: 3, handle: handle, data: h.data}).value; n != int64(len(h.data)) {
+		t.Fatalf("prefill wrote %d bytes, want %d", n, len(h.data))
+	}
+	for i := 0; i < 3; i++ {
+		h.send(t, &request{op: opRead, seq: uint32(10 + i), handle: handle, offset: int64(i) * wbChunk, length: wbChunk})
+	}
+	// The server's reader pushed read #2 before it consumed read #3's
+	// bytes, which is when the last send returned.
+	close(h.store.release)
+	return h
+}
+
+func (h *wbScript) send(t *testing.T, req *request) {
+	t.Helper()
+	bw := bufio.NewWriter(h.c)
+	if err := writeRequest(bw, req); err != nil {
+		t.Fatalf("encode seq %d: %v", req.seq, err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatalf("send seq %d: %v", req.seq, err)
+	}
+}
+
+func (h *wbScript) call(t *testing.T, req *request) *response {
+	t.Helper()
+	h.send(t, req)
+	resp := h.recv(t, req.seq)
+	if err := statusToErr(resp.status, resp.msg, resp.value); err != nil {
+		t.Fatalf("seq %d: %v", req.seq, err)
+	}
+	return resp
+}
+
+// recv reads one response straight off the pipe (no client-side
+// buffering, so the server's writes return exactly as bytes are consumed).
+func (h *wbScript) recv(t *testing.T, seq uint32) *response {
+	t.Helper()
+	resp, err := readResponse(h.c)
+	if err != nil {
+		t.Fatalf("response %d: %v", seq, err)
+	}
+	if resp.seq != seq {
+		t.Fatalf("response seq = %d, want %d", resp.seq, seq)
+	}
+	return resp
+}
+
+// awaitRead waits for ReadAt #k to start. The deadline only turns a
+// server that never gets there into a failure instead of a hang.
+func (h *wbScript) awaitRead(t *testing.T, k int64) {
+	t.Helper()
+	for {
+		select {
+		case got := <-h.store.reads:
+			if got == k {
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ReadAt #%d never started (%d so far): dispatch is waiting on a response write", k, h.store.n.Load())
+		}
+	}
+}
+
+// checkChunk verifies a read response carries chunk i of the file.
+func (h *wbScript) checkChunk(t *testing.T, resp *response, i int) {
+	t.Helper()
+	if resp.status != statusOK || !bytes.Equal(resp.data, h.data[i*wbChunk:(i+1)*wbChunk]) {
+		t.Fatalf("response %d: status %d, %d bytes, not chunk %d", resp.seq, resp.status, len(resp.data), i)
+	}
+}
+
+// TestServerWriteBehindOverlapsDispatch pins write-behind by counting
+// storage reads against bytes consumed: request 2's ReadAt starts while
+// response 1 is still unread on the pipe, request 3's does not start
+// until response 1 is fully consumed (at most one response behind
+// dispatch), and all three responses arrive intact in order.
+func TestServerWriteBehindOverlapsDispatch(t *testing.T) {
+	h := startWBScript(t)
+	h.awaitRead(t, 2)
+
+	// Take response 1 up to its last byte: its write is still blocked, so
+	// the executor must still be waiting on it.
+	frame := make([]byte, respHeaderSize+wbChunk)
+	if _, err := io.ReadFull(h.c, frame[:len(frame)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.store.n.Load(); n != 2 {
+		t.Fatalf("%d ReadAts before response 1 was consumed, want 2", n)
+	}
+	if _, err := io.ReadFull(h.c, frame[len(frame)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readResponse(bytes.NewReader(frame))
+	if err != nil || resp.seq != 10 {
+		t.Fatalf("response 1: %+v, %v", resp, err)
+	}
+	h.checkChunk(t, resp, 0)
+	h.awaitRead(t, 3)
+	h.checkChunk(t, h.recv(t, 11), 1)
+	h.checkChunk(t, h.recv(t, 12), 2)
 }
 
 // TestWriteAtVec covers the vectored write path end to end: discontiguous

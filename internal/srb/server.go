@@ -31,7 +31,7 @@ type ServerStats struct {
 	Requests      int64
 	BytesRead     int64 // data served to clients
 	BytesWritten  int64 // data committed from clients
-	ActiveConns   int64
+	ActiveConns   int64 // admitted connections still being served
 	ProtocolError int64
 	OpenHandles   int64 // file handles currently open across all sessions
 	Shed          int64 // requests refused with ErrServerBusy (overload or drain)
@@ -299,6 +299,7 @@ func (s *Server) trackConn(conn net.Conn) (*connState, bool) {
 	}
 	cs := &connState{conn: conn}
 	s.conns[conn] = cs
+	atomic.AddInt64(&s.stats.ActiveConns, 1)
 	return cs, true
 }
 
@@ -306,6 +307,9 @@ func (s *Server) untrackConn(conn net.Conn) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	delete(s.conns, conn)
+	// Before the drain can complete, so Shutdown never returns with this
+	// connection still counted active.
+	atomic.AddInt64(&s.stats.ActiveConns, -1)
 	// The last connection out completes the drain. drainDone cannot have
 	// been closed already: Shutdown only closes it when no connections
 	// were tracked, and no new ones are admitted while draining.
@@ -437,12 +441,12 @@ func (s *Server) shedConn(conn net.Conn) {
 }
 
 // ServeConn services one client connection until EOF, protocol error,
-// drain or admission refusal. It may be called directly with simulated
-// connections.
+// drain or admission refusal. Requests execute one at a time in arrival
+// order; parsing runs ahead of execution (read-ahead), and a large response
+// can still be in transmission while the next request executes
+// (write-behind). It may be called directly with simulated connections.
 func (s *Server) ServeConn(conn net.Conn) {
 	atomic.AddInt64(&s.stats.Connections, 1)
-	atomic.AddInt64(&s.stats.ActiveConns, 1)
-	defer atomic.AddInt64(&s.stats.ActiveConns, -1)
 	defer conn.Close()
 
 	cs, admitted := s.trackConn(conn)
@@ -491,13 +495,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 	}()
 
+	// Write-behind: while one response of a burst is still being
+	// transmitted, the executor already dispatches the next request, so the
+	// storage I/O of request N+1 overlaps the wire time of response N.
+	// Execution stays in arrival order, and wb.settle precedes every touch
+	// of bw below, so at most one response is ever behind dispatch.
+	wb := &writeBehind{bw: bw}
+	defer wb.stop()
+
 	// Drain bookkeeping runs at burst granularity: busy is set per request
-	// (beginOp) but cleared (endOp) only at idle points, after the batched
-	// flush put every response of the burst on the wire. The old guarantee
-	// — the drain sweep can never close a conn between dispatch completion
-	// and the client receiving its reply — holds unchanged, because a conn
-	// is "idle" only when it has no request queued and no response
-	// buffered.
+	// (beginOp) but cleared (endOp) only at idle points, after the helper
+	// has settled and the batched flush put every response of the burst on
+	// the wire. The old guarantee — the drain sweep can never close a conn
+	// between dispatch completion and the client receiving its reply —
+	// holds unchanged, because a conn is "idle" only when it has no request
+	// queued, no response in transmission and no response buffered.
 	for req := range reqCh {
 		atomic.AddInt64(&s.stats.Requests, 1)
 		if !s.beginOp(cs) {
@@ -505,6 +517,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// lands on whatever replaces this server.
 			s.countShed()
 			putBuf(req.data)
+			if wb.settle() != nil {
+				return
+			}
 			resp := errResp(ErrServerBusy)
 			resp.seq = req.seq
 			if writeResponse(bw, resp) == nil {
@@ -542,6 +557,19 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		resp.seq = req.seq
 		putBuf(req.data) // dispatch copied what it kept; recycle the payload
+		// The previous response must be wholly in bw before this one.
+		if wb.settle() != nil {
+			putBuf(resp.data)
+			return
+		}
+		if len(reqCh) > 0 && len(resp.data) > bw.Available() {
+			// More requests already parsed, and this payload overflows bw,
+			// so writing it means waiting on the conn: let the helper do
+			// that while the next request dispatches. Responses that fit
+			// in bw are a copy, not a wait, and stay inline below.
+			wb.send(resp)
+			continue
+		}
 		// Whether or not the write succeeds, the response bytes are dead
 		// after this point (copied into the buffered writer, or the conn
 		// is unusable); recycle before bailing out on error.
@@ -582,6 +610,60 @@ func (s *Server) ServeConn(conn net.Conn) {
 // readAheadDepth bounds how many parsed-but-unexecuted requests one
 // connection may queue server-side.
 const readAheadDepth = 32
+
+// writeBehind writes responses into a connection's buffered writer on a
+// helper goroutine, one at a time. The executor owns bw whenever the
+// helper is idle and calls settle before touching it. The helper starts on
+// the first hand-off, so a connection that never has a request queued
+// behind the one executing never starts it.
+type writeBehind struct {
+	bw   *bufio.Writer
+	in   chan *response
+	done chan error // one write result per hand-off; closed when the helper exits
+	busy bool       // a hand-off has not been settled yet
+}
+
+// send hands resp to the helper, which writes it into bw and recycles its
+// payload. The previous hand-off must have been settled.
+func (w *writeBehind) send(resp *response) {
+	if w.in == nil {
+		w.in = make(chan *response)
+		w.done = make(chan error, 1)
+		go w.run()
+	}
+	w.in <- resp
+	w.busy = true
+}
+
+// settle waits until the helper has finished the unsettled hand-off, if
+// any, and returns that write's error.
+func (w *writeBehind) settle() error {
+	if !w.busy {
+		return nil
+	}
+	w.busy = false
+	return <-w.done
+}
+
+// stop ends the helper and returns once it has exited. ServeConn settles
+// before every return, so the helper is idle here and exits at once.
+func (w *writeBehind) stop() {
+	if w.in == nil {
+		return
+	}
+	close(w.in)
+	for range w.done {
+	}
+}
+
+func (w *writeBehind) run() {
+	defer close(w.done)
+	for resp := range w.in {
+		err := writeResponse(w.bw, resp)
+		putBuf(resp.data)
+		w.done <- err
+	}
+}
 
 type openFile struct {
 	obj    storage.Object
@@ -929,14 +1011,18 @@ func (ss *session) write(req *request) *response {
 		return errResp(mapCatErr(err))
 	}
 	n, err := f.obj.WriteAt(req.data, off)
+	if n > 0 {
+		// Bytes the store accepted are stored even when it also failed:
+		// the catalog size and the owner's quota usage must cover them.
+		ss.srv.cat.GrowSize(f.path, off+int64(n))
+		atomic.AddInt64(&ss.srv.stats.BytesWritten, int64(n))
+	}
 	if err != nil {
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
 	}
 	if usePointer || f.append {
 		f.pos = off + int64(n)
 	}
-	ss.srv.cat.GrowSize(f.path, off+int64(n))
-	atomic.AddInt64(&ss.srv.stats.BytesWritten, int64(n))
 	return &response{value: int64(n)}
 }
 
@@ -969,23 +1055,25 @@ func (ss *session) writev(req *request) *response {
 		return errResp(mapCatErr(err))
 	}
 	var total int64
+	var werr error
 	for _, sg := range segs {
-		n, werr := f.obj.WriteAt(sg.data, sg.off)
+		var n int
+		n, werr = f.obj.WriteAt(sg.data, sg.off)
 		if n > 0 {
 			ss.srv.cat.GrowSize(f.path, sg.off+int64(n))
 			total += int64(n)
 		}
-		if werr != nil {
-			return errResp(fmt.Errorf("%w: %v", ErrIO, werr))
-		}
-		if n < len(sg.data) {
-			// Short write without an error (e.g. a full device): report
-			// the acknowledged total and stop; blindly continuing would
-			// punch a hole.
+		if werr != nil || n < len(sg.data) {
+			// A failed or short write (e.g. a full device) ends the vector;
+			// blindly continuing would punch a hole. A short write without
+			// an error reports the acknowledged total.
 			break
 		}
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesWritten, total)
+	if werr != nil {
+		return errResp(fmt.Errorf("%w: %v", ErrIO, werr))
+	}
 	return &response{value: total}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,6 +118,47 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if st.ActiveConns != 0 {
 		t.Fatalf("ActiveConns = %d after drain, want 0", st.ActiveConns)
 	}
+}
+
+// TestShutdownDrainsWriteBehind starts the drain while response 1 is
+// blocked in transmission and request 2 has been dispatched behind it:
+// both responses must still arrive intact, the request queued behind them
+// is shed with ErrServerBusy, and the connection leaves no handle and no
+// goroutine behind.
+func TestShutdownDrainsWriteBehind(t *testing.T) {
+	base := runtime.NumGoroutine()
+	h := startWBScript(t)
+	h.awaitRead(t, 2)
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- h.srv.Shutdown(ctx)
+	}()
+	waitStats(t, h.srv, "drain to begin", func(ServerStats) bool {
+		return h.srv.isDraining()
+	})
+
+	h.checkChunk(t, h.recv(t, 10), 0)
+	h.checkChunk(t, h.recv(t, 11), 1)
+	shed := h.recv(t, 12)
+	if err := statusToErr(shed.status, shed.msg, shed.value); !errors.Is(err, ErrServerBusy) {
+		t.Fatalf("queued request during drain = %v, want ErrServerBusy", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	<-h.served
+	if st := h.srv.Stats(); st.OpenHandles != 0 || st.Shed != 1 {
+		t.Fatalf("after drain: OpenHandles = %d, Shed = %d; want 0, 1", st.OpenHandles, st.Shed)
+	}
+	if n := h.store.n.Load(); n != 2 {
+		t.Fatalf("%d ReadAts, want 2: the shed request must not reach storage", n)
+	}
+	waitStats(t, h.srv, "connection goroutines to exit", func(ServerStats) bool {
+		return runtime.NumGoroutine() <= base
+	})
 }
 
 func TestShutdownShedsNewConns(t *testing.T) {

@@ -427,6 +427,68 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// fillingObj stores at most room bytes of each WriteAt and fails the rest,
+// like a device that fills mid-write: it returns n > 0 with an error.
+type fillingObj struct {
+	storage.Object
+	room int
+}
+
+func (o fillingObj) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) <= o.room {
+		return o.Object.WriteAt(p, off)
+	}
+	n, err := o.Object.WriteAt(p[:o.room], off)
+	if err == nil {
+		err = errMedia
+	}
+	return n, err
+}
+
+// TestPartialWriteIsAccounted: when the store keeps a prefix of a write and
+// then fails, the request fails, but the catalog size, the owner's quota
+// usage and BytesWritten still cover every byte the store kept.
+func TestPartialWriteIsAccounted(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		req           *request
+		size, written int64 // stored end of file and bytes stored, with room = 40
+	}{
+		{"write", &request{op: opWrite, handle: 1, data: make([]byte, 100)}, 40, 40},
+		{"writev", &request{op: opWritev, handle: 1, data: encodeWritev([]writeSeg{
+			{off: 0, data: make([]byte, 30)},
+			{off: 50, data: make([]byte, 100)},
+		})}, 90, 70},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewMemServer(storage.DeviceSpec{})
+			e, err := srv.cat.CreateFileAs("/p", "mem", "acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, err := srv.Resource("mem").Create(e.PhysicalKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := &session{srv: srv, files: map[int32]*openFile{
+				1: {obj: fillingObj{obj, 40}, path: "/p", flags: O_RDWR},
+			}}
+			resp := sess.dispatch(tc.req)
+			if err := statusToErr(resp.status, resp.msg, resp.value); !errors.Is(err, ErrIO) {
+				t.Fatalf("partial write = %v, want ErrIO", err)
+			}
+			stored, _ := obj.Size()
+			e, _ = srv.cat.Lookup("/p")
+			if stored != tc.size || e.Size != stored || srv.cat.Usage("acme") != stored {
+				t.Fatalf("stored %d (want %d), catalog size %d, usage %d", stored, tc.size, e.Size, srv.cat.Usage("acme"))
+			}
+			if got := srv.Stats().BytesWritten; got != tc.written {
+				t.Fatalf("BytesWritten = %d, want %d", got, tc.written)
+			}
+		})
+	}
+}
+
 func TestOverTCP(t *testing.T) {
 	srv := NewMemServer(storage.DeviceSpec{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
