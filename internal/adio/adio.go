@@ -36,10 +36,6 @@ var ErrUnknownDriver = errors.New("adio: unknown driver")
 //	stripe_size     SRBFS/federation: stripe unit in bytes
 //	sieve           mpiio: "on"/"off", data sieving for strided views (default on)
 //	sieve_buf_size  mpiio: sieve window size in bytes (default 524288)
-//	listio          mpiio: "on"/"off", vectored list I/O for sparse views (default on)
-//	listio_density  mpiio: view density (BlockLen/Stride) below which list
-//	                I/O is preferred over sieving when the driver supports
-//	                VectorIO (default 0.25)
 type Hints map[string]string
 
 // Get returns the hint value or a default.
@@ -73,8 +69,8 @@ type Vec struct {
 
 // VectorIO is an optional fast path a driver's File may implement: many
 // discontiguous extents move in few round trips (ROMIO's list I/O). The
-// MPI-IO layer type-asserts for it when a strided view is too sparse for
-// data sieving to pay off.
+// MPI-IO layer type-asserts for it on every strided access that spans more
+// than one view frame, and data-sieves only on drivers that lack it.
 //
 // Semantics mirror ReadAt/WriteAt applied per segment in slice order: the
 // returned count is the contiguous prefix (in segment order) actually

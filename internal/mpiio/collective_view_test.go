@@ -109,7 +109,7 @@ func TestCollectiveViewUnevenTails(t *testing.T) {
 		buf := make([]byte, want)
 		n, err := f.ReadAtAll(c, buf, 0)
 
-		// Reference: same transfer through the independent (naive) path.
+		// Reference: same transfer through the independent (list-I/O) path.
 		nf, err2 := OpenLocal(reg, "mem:/tails", adio.O_RDONLY, naiveHints)
 		if err2 != nil {
 			return err2

@@ -81,10 +81,9 @@ func (f *File) nextCollTag() int {
 // Open opens path through the registry. Inside an MPI job it is
 // collective: every rank must call it, and either all ranks succeed or all
 // observe failure. Hints: "io_threads" sets the async engine pool size
-// (default 1, the paper's single-I/O-thread configuration); "sieve",
-// "sieve_buf_size", "listio" and "listio_density" tune noncontiguous
-// access (see sieve.go and adio.Hints); driver hints such as "streams"
-// pass through.
+// (default 1, the paper's single-I/O-thread configuration); "sieve" and
+// "sieve_buf_size" tune data sieving on drivers without list I/O (see
+// sieve.go and adio.Hints); driver hints such as "streams" pass through.
 func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio.Hints) (*File, error) {
 	threads := 1
 	if v := hints.Get("io_threads", ""); v != "" {

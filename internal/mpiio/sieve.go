@@ -24,42 +24,37 @@ import (
 //
 //   - List I/O: ship the (offset, length) vector to the driver and let it
 //     move exactly the requested bytes in few round trips (opReadv /
-//     opWritev on SRBFS). No amplification, but the win depends on the
-//     driver supporting adio.VectorIO.
+//     opWritev on SRBFS). No amplification and no read-modify-write.
 //
-// The dispatch heuristic is density = BlockLen/Stride: sparse views (density
-// below the listio_density hint) would make a sieve window mostly holes, so
-// they go to list I/O when the driver offers it; dense views sieve.
+// Dispatch follows the driver's capability, not the view's density: list I/O
+// moves the same pieces as a sieve window in the same round trip without
+// the window's gap bytes, and a write needs no read first, so every strided
+// access goes to list I/O when the driver implements adio.VectorIO. Data
+// sieving is the fast path only for drivers that cannot take a
+// noncontiguous request (ufs), which is the case Thakur et al. built it for.
 //
 // Concurrency: sieved writes lock the window per handle (f.sieveMu), which
 // serializes RMW cycles issued through one *File. Like ROMIO, correctness
 // against OTHER writers is the application's problem: the RMW cycle rewrites
 // every byte of the window, so a concurrent writer to unrelated bytes of the
-// same window through a different handle can be silently undone. The
-// documented contract is single writer per window-sized region.
+// same window through a different handle can be silently undone. On drivers
+// without adio.VectorIO the documented contract is therefore single writer
+// per window-sized region; list I/O writes only the requested bytes and
+// carries no such rule.
 
-// Sieve hint defaults (see adio.Hints for the key list).
-const (
-	defaultSieveBufSize  = 512 << 10
-	defaultListIODensity = 0.25
-)
+// defaultSieveBufSize is the sieve window bound when no sieve_buf_size hint
+// is given.
+const defaultSieveBufSize = 512 << 10
 
 // sieveConfig is the parsed form of the noncontiguous-access hints.
 type sieveConfig struct {
-	sieve   bool    // data sieving enabled
-	bufSize int64   // sieve window bound, bytes
-	listio  bool    // list I/O enabled
-	density float64 // density threshold below which list I/O is preferred
+	sieve   bool  // data sieving enabled
+	bufSize int64 // sieve window bound, bytes
 }
 
 // parseSieveHints reads the noncontiguous-access hints, applying defaults.
 func parseSieveHints(hints adio.Hints) (sieveConfig, error) {
-	cfg := sieveConfig{
-		sieve:   true,
-		bufSize: defaultSieveBufSize,
-		listio:  true,
-		density: defaultListIODensity,
-	}
+	cfg := sieveConfig{sieve: true, bufSize: defaultSieveBufSize}
 	switch v := hints.Get("sieve", "on"); v {
 	case "on":
 	case "off":
@@ -73,20 +68,6 @@ func parseSieveHints(hints adio.Hints) (sieveConfig, error) {
 			return cfg, fmt.Errorf("mpiio: bad sieve_buf_size hint %q", v)
 		}
 		cfg.bufSize = n
-	}
-	switch v := hints.Get("listio", "on"); v {
-	case "on":
-	case "off":
-		cfg.listio = false
-	default:
-		return cfg, fmt.Errorf("mpiio: bad listio hint %q", v)
-	}
-	if v := hints.Get("listio_density", ""); v != "" {
-		d, err := strconv.ParseFloat(v, 64)
-		if err != nil || d < 0 || d > 1 {
-			return cfg, fmt.Errorf("mpiio: bad listio_density hint %q", v)
-		}
-		cfg.density = d
 	}
 	return cfg, nil
 }

@@ -3,15 +3,30 @@ package mpiio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
 	"semplar/internal/adio"
 )
 
-// naiveHints disables every noncontiguous fast path, giving the semantic
-// reference the sieved and list-I/O paths must match byte for byte.
-var naiveHints = adio.Hints{"sieve": "off", "listio": "off"}
+// naiveHints disables data sieving. On a driver without adio.VectorIO (the
+// "fault:" paths of scalarRegistry) a strided access then runs the naive
+// per-piece loop: the semantic reference the sieved and list-I/O paths must
+// match byte for byte.
+var naiveHints = adio.Hints{"sieve": "off"}
+
+// scalarRegistry serves one in-memory store under two schemes: "mem" is
+// memfs, which implements adio.VectorIO and so takes list I/O for strided
+// access; "fault" is faultDriver over the same store, which does not, so
+// strided access there is sieved, or naive under naiveHints.
+func scalarRegistry() *adio.Registry {
+	mem := adio.NewMemFS()
+	reg := &adio.Registry{}
+	reg.Register(mem)
+	reg.Register(&faultDriver{mem: mem, ctl: &faultCtl{}})
+	return reg
+}
 
 // prepFile creates path with the given physical content through a plain
 // contiguous handle.
@@ -85,19 +100,19 @@ func TestSievedReadMatchesNaive(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			reg := memRegistry()
+			reg := scalarRegistry()
 			prepFile(t, reg, "mem:/f", pattern(c.fileSize, 3))
 
-			hints := adio.Hints{"listio": "off"}
+			hints := adio.Hints{}
 			if c.bufSize != "" {
 				hints["sieve_buf_size"] = c.bufSize
 			}
-			sieved, err := OpenLocal(reg, "mem:/f", adio.O_RDONLY, hints)
+			sieved, err := OpenLocal(reg, "fault:/f", adio.O_RDONLY, hints)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sieved.Close()
-			naive, err := OpenLocal(reg, "mem:/f", adio.O_RDONLY, naiveHints)
+			naive, err := OpenLocal(reg, "fault:/f", adio.O_RDONLY, naiveHints)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,18 +160,18 @@ func TestSievedWriteMatchesNaive(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			reg := memRegistry()
+			reg := scalarRegistry()
 			prefill := pattern(c.fileSize, 7)
 			prepFile(t, reg, "mem:/sv", prefill)
 			prepFile(t, reg, "mem:/nv", prefill)
 
-			hints := adio.Hints{"listio": "off", "sieve_buf_size": c.bufSize}
-			sieved, err := OpenLocal(reg, "mem:/sv", adio.O_RDWR, hints)
+			hints := adio.Hints{"sieve_buf_size": c.bufSize}
+			sieved, err := OpenLocal(reg, "fault:/sv", adio.O_RDWR, hints)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sieved.Close()
-			naive, err := OpenLocal(reg, "mem:/nv", adio.O_RDWR, naiveHints)
+			naive, err := OpenLocal(reg, "fault:/nv", adio.O_RDWR, naiveHints)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,10 +199,12 @@ func TestSievedWriteMatchesNaive(t *testing.T) {
 }
 
 // faultCtl injects a hard error on the Nth driver ReadAt/WriteAt (1-based;
-// 0 disables injection). Shared by every handle the fault driver opens.
+// 0 disables injection) and counts driver calls. Shared by every handle the
+// fault driver opens.
 type faultCtl struct {
 	failRead, failWrite int
 	reads, writes       int
+	readVecs, writeVecs int // vecDriver only
 	err                 error
 }
 
@@ -227,6 +244,31 @@ func (d *faultDriver) Open(path string, flags int, hints adio.Hints) (adio.File,
 }
 func (d *faultDriver) Delete(path string) error { return d.mem.Delete(path) }
 
+// vecDriver is faultDriver plus adio.VectorIO: it counts vector calls
+// beside the scalar ones, so a test can tell which path a transfer took.
+type vecDriver struct{ faultDriver }
+
+func (d *vecDriver) Name() string { return "vec" }
+func (d *vecDriver) Open(path string, flags int, hints adio.Hints) (adio.File, error) {
+	f, err := d.faultDriver.Open(path, flags, hints)
+	if err != nil {
+		return nil, err
+	}
+	return vecFile{f.(*faultFile)}, nil
+}
+
+type vecFile struct{ *faultFile }
+
+func (f vecFile) ReadAtVec(segs []adio.Vec) (int, error) {
+	f.ctl.readVecs++
+	return f.File.(adio.VectorIO).ReadAtVec(segs)
+}
+
+func (f vecFile) WriteAtVec(segs []adio.Vec) (int, error) {
+	f.ctl.writeVecs++
+	return f.File.(adio.VectorIO).WriteAtVec(segs)
+}
+
 // TestSievePoolBalanceUnderErrors: every sieve window buffer is returned to
 // the pool, on the success path and on every injected-failure path — a
 // leaked window under WAN-latency RMW cycles would bleed the pool dry.
@@ -238,7 +280,7 @@ func TestSievePoolBalanceUnderErrors(t *testing.T) {
 		reg := &adio.Registry{}
 		reg.Register(&faultDriver{mem: adio.NewMemFS(), ctl: ctl})
 		f, err := OpenLocal(reg, "fault:/f", adio.O_RDWR|adio.O_CREATE,
-			adio.Hints{"listio": "off", "sieve_buf_size": "256"})
+			adio.Hints{"sieve_buf_size": "256"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,53 +325,89 @@ func TestSievePoolBalanceUnderErrors(t *testing.T) {
 	}
 }
 
-// TestListIOSparseView: a view sparse enough to clear the density threshold
-// routes through the driver's VectorIO fast path with no read/write
-// amplification, and matches the naive reference byte for byte.
-func TestListIOSparseView(t *testing.T) {
-	reg := memRegistry()
-	prepFile(t, reg, "mem:/lv", pattern(16384, 9))
-	prepFile(t, reg, "mem:/nv", pattern(16384, 9))
+// TestListIOView: on a driver with adio.VectorIO every strided transfer
+// spanning frames is exactly one vector call, at any density: no scalar
+// call, no amplification, and a write reads nothing. It matches the naive
+// per-piece loop on bytes and (n, err), including a read that straddles EOF
+// and one that fills exactly to it.
+func TestListIOView(t *testing.T) {
+	views := []View{
+		{BlockLen: 4, Stride: 64},
+		{BlockLen: 48, Stride: 64},
+		{BlockLen: 63, Stride: 64},
+		{Disp: 10, BlockLen: 2048, Stride: 4096},
+	}
+	for _, v := range views {
+		t.Run(fmt.Sprintf("%dof%d", v.BlockLen, v.Stride), func(t *testing.T) {
+			reg := scalarRegistry()
+			mem, _ := reg.Lookup("mem")
+			ctl := &faultCtl{}
+			reg.Register(&vecDriver{faultDriver{mem: mem, ctl: ctl}})
+			// The file ends halfway into frame 30.
+			b := int(v.BlockLen)
+			content := pattern(int(v.Disp+30*v.Stride)+b/2, 9)
+			prepFile(t, reg, "mem:/lv", content)
+			prepFile(t, reg, "mem:/nv", content)
+			lio, err := OpenLocal(reg, "vec:/lv", adio.O_RDWR, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lio.Close()
+			naive, err := OpenLocal(reg, "fault:/nv", adio.O_RDWR, naiveHints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer naive.Close()
+			lio.SetView(v)
+			naive.SetView(v)
 
-	// density 4/64 = 0.0625 < default threshold 0.25 → list I/O.
-	sparse := View{BlockLen: 4, Stride: 64}
-	lio, err := OpenLocal(reg, "mem:/lv", adio.O_RDWR, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lio.Close()
-	naive, err := OpenLocal(reg, "mem:/nv", adio.O_RDWR, naiveHints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer naive.Close()
-	lio.SetView(sparse)
-	naive.SetView(sparse)
-
-	got := make([]byte, 600)
-	want := make([]byte, 600)
-	gn, gerr := lio.ReadAt(got, 3)
-	wn, werr := naive.ReadAt(want, 3)
-	if gn != wn || gerr != werr || !bytes.Equal(got, want) {
-		t.Fatalf("list-I/O read = (%d, %v), naive = (%d, %v)", gn, gerr, wn, werr)
-	}
-	st := lio.Stats()
-	if st.PhysBytesRead != st.BytesRead {
-		t.Fatalf("list I/O amplified: phys %d, logical %d", st.PhysBytesRead, st.BytesRead)
-	}
-
-	data := pattern(600, 200)
-	if _, err := lio.WriteAt(data, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := naive.WriteAt(data, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(physContents(t, reg, "mem:/lv"), physContents(t, reg, "mem:/nv")) {
-		t.Fatal("list-I/O write left different physical bytes than naive")
-	}
-	if st := lio.Stats(); st.PhysBytesWritten != st.BytesWritten {
-		t.Fatalf("list I/O write amplified: phys %d, logical %d", st.PhysBytesWritten, st.BytesWritten)
+			for _, x := range []struct {
+				name    string
+				write   bool
+				off     int64
+				n       int
+				wantErr error // reads only
+			}{
+				{"read", false, 3, 20 * b, nil},
+				{"eof-straddling read", false, int64(25*b + 2), 10 * b, io.EOF},
+				{"exact fill to eof", false, int64(26 * b), 4*b + b/2, nil},
+				{"write", true, int64(b/2 + 1), 12 * b, nil},
+				{"write past eof", true, int64(28*b + 1), 6 * b, nil},
+			} {
+				*ctl = faultCtl{}
+				physRead := lio.Stats().PhysBytesRead
+				got, want := make([]byte, x.n), make([]byte, x.n)
+				var gn, wn int
+				var gerr, werr error
+				if x.write {
+					got = pattern(x.n, 200)
+					gn, gerr = lio.WriteAt(got, x.off)
+					wn, werr = naive.WriteAt(got, x.off)
+				} else {
+					gn, gerr = lio.ReadAt(got, x.off)
+					wn, werr = naive.ReadAt(want, x.off)
+				}
+				if gn != wn || gerr != werr {
+					t.Fatalf("%s: list I/O = (%d, %v), naive = (%d, %v)", x.name, gn, gerr, wn, werr)
+				}
+				if !x.write && (gerr != x.wantErr || !bytes.Equal(got[:gn], want[:wn])) {
+					t.Fatalf("%s: err %v (want %v), bytes equal %v", x.name, gerr, x.wantErr, bytes.Equal(got[:gn], want[:wn]))
+				}
+				if vecs := ctl.readVecs + ctl.writeVecs; vecs != 1 || ctl.reads+ctl.writes != 0 {
+					t.Fatalf("%s: %d vector and %d scalar driver calls, want 1 and 0", x.name, vecs, ctl.reads+ctl.writes)
+				}
+				st := lio.Stats()
+				if st.PhysBytesRead != st.BytesRead || st.PhysBytesWritten != st.BytesWritten {
+					t.Fatalf("%s: list I/O amplified: %+v", x.name, st)
+				}
+				if x.write && (ctl.readVecs != 0 || st.PhysBytesRead != physRead) {
+					t.Fatalf("%s: a list-I/O write read from the driver", x.name)
+				}
+			}
+			if !bytes.Equal(physContents(t, reg, "mem:/lv"), physContents(t, reg, "mem:/nv")) {
+				t.Fatal("list-I/O writes left different physical bytes than naive")
+			}
+		})
 	}
 }
 
@@ -343,7 +421,7 @@ func TestSieveAmplificationStats(t *testing.T) {
 	reg.Register(&faultDriver{mem: adio.NewMemFS(), ctl: ctl})
 	prepFile(t, reg, "fault:/f", pattern(8192, 5))
 	view := View{BlockLen: 16, Stride: 64}
-	f, err := OpenLocal(reg, "fault:/f", adio.O_RDWR, adio.Hints{"listio": "off", "sieve_buf_size": "1024"})
+	f, err := OpenLocal(reg, "fault:/f", adio.O_RDWR, adio.Hints{"sieve_buf_size": "1024"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,16 +468,16 @@ func TestSieveAmplificationStats(t *testing.T) {
 // rolls the file pointer back to the bytes actually delivered, exactly as
 // the contiguous path does.
 func TestRollbackFPShortSievedRead(t *testing.T) {
-	reg := memRegistry()
+	reg := scalarRegistry()
 	prepFile(t, reg, "mem:/f", pattern(300, 1))
-	f, err := OpenLocal(reg, "mem:/f", adio.O_RDONLY, adio.Hints{"listio": "off", "sieve_buf_size": "256"})
+	f, err := OpenLocal(reg, "fault:/f", adio.O_RDONLY, adio.Hints{"sieve_buf_size": "256"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	f.SetView(View{BlockLen: 16, Stride: 64})
 
-	naive, err := OpenLocal(reg, "mem:/f", adio.O_RDONLY, naiveHints)
+	naive, err := OpenLocal(reg, "fault:/f", adio.O_RDONLY, naiveHints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +504,6 @@ func TestSieveHintValidation(t *testing.T) {
 		{"sieve_buf_size": "0"},
 		{"sieve_buf_size": "-5"},
 		{"sieve_buf_size": "many"},
-		{"listio": "1"},
-		{"listio_density": "2"},
-		{"listio_density": "-0.1"},
-		{"listio_density": "dense"},
 	}
 	for i, h := range bad {
 		reg := memRegistry()

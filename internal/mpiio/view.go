@@ -87,14 +87,13 @@ func (f *File) writePhys(p []byte, off int64) (int, error) {
 }
 
 // viewIO routes a logical transfer through the handle's view, picking the
-// cheapest correct strategy:
+// cheapest correct strategy from what the driver can do:
 //
 //   - contiguous views (including the BlockLen == Stride degenerate, whose
 //     frames tile with no gaps) become one driver op at Disp+off;
-//   - sparse strided views go to list I/O when the driver supports
-//     adio.VectorIO and density = BlockLen/Stride is below the
-//     listio_density hint;
-//   - other strided views spanning at least two frames are data-sieved;
+//   - strided accesses spanning at least two frames go to list I/O, at any
+//     density, when the driver supports adio.VectorIO;
+//   - on other drivers they are data-sieved;
 //   - everything else (single-frame accesses, sieving disabled, windows too
 //     big for the sieve buffer) falls back to the naive per-piece loop.
 func (f *File) viewIO(p []byte, off int64, write bool) (int, error) {
@@ -112,14 +111,11 @@ func (f *File) viewIO(p []byte, off int64, write bool) (int, error) {
 		f.counters.recordPhys(!write, n)
 		return n, err
 	}
-	if len(p) > 0 {
-		spansFrames := (off+int64(len(p))-1)/v.BlockLen > off/v.BlockLen
-		if spansFrames && f.sieve.listio && float64(v.BlockLen)/float64(v.Stride) < f.sieve.density {
-			if vio, ok := f.inner.(adio.VectorIO); ok {
-				return f.listIO(vio, v, p, off, write)
-			}
+	if len(p) > 0 && (off+int64(len(p))-1)/v.BlockLen > off/v.BlockLen {
+		if vio, ok := f.inner.(adio.VectorIO); ok {
+			return f.listIO(vio, v, p, off, write)
 		}
-		if spansFrames && f.sieve.sieve {
+		if f.sieve.sieve {
 			if write {
 				return f.sievedWrite(v, p, off)
 			}

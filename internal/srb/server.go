@@ -1054,14 +1054,16 @@ func (ss *session) writev(req *request) *response {
 	if err := ss.srv.cat.CheckGrow(f.path, maxEnd); err != nil {
 		return errResp(mapCatErr(err))
 	}
-	var total int64
+	var total, ackEnd int64
 	var werr error
 	for _, sg := range segs {
 		var n int
 		n, werr = f.obj.WriteAt(sg.data, sg.off)
 		if n > 0 {
-			ss.srv.cat.GrowSize(f.path, sg.off+int64(n))
 			total += int64(n)
+			if end := sg.off + int64(n); end > ackEnd {
+				ackEnd = end
+			}
 		}
 		if werr != nil || n < len(sg.data) {
 			// A failed or short write (e.g. a full device) ends the vector;
@@ -1069,6 +1071,11 @@ func (ss *session) writev(req *request) *response {
 			// an error reports the acknowledged total.
 			break
 		}
+	}
+	if total > 0 {
+		// One catalog update for the whole vector: the size and quota usage
+		// must cover every byte the store accepted, failure or not.
+		ss.srv.cat.GrowSize(f.path, ackEnd)
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesWritten, total)
 	if werr != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"semplar/internal/mcat"
 	"semplar/internal/netsim"
 	"semplar/internal/storage"
 )
@@ -481,6 +482,63 @@ func TestPartialWriteIsAccounted(t *testing.T) {
 			e, _ = srv.cat.Lookup("/p")
 			if stored != tc.size || e.Size != stored || srv.cat.Usage("acme") != stored {
 				t.Fatalf("stored %d (want %d), catalog size %d, usage %d", stored, tc.size, e.Size, srv.cat.Usage("acme"))
+			}
+			if got := srv.Stats().BytesWritten; got != tc.written {
+				t.Fatalf("BytesWritten = %d, want %d", got, tc.written)
+			}
+		})
+	}
+}
+
+// TestWritevGrowsCatalogOnce: a vector that extends the file updates the
+// catalog once, not once per segment, so an extending 64-segment writev
+// journals a single JGrowSize record. The recorded size is the furthest
+// byte the store acknowledged, also when the store fails mid-vector.
+func TestWritevGrowsCatalogOnce(t *testing.T) {
+	const nseg, failAt = 64, 40
+	segs := make([]writeSeg, nseg)
+	for i := range segs {
+		segs[i] = writeSeg{off: int64(i) * 200, data: make([]byte, 50)}
+	}
+	// With room 60, segment failAt stores 60 of its 100 bytes and fails.
+	segs[failAt].data = make([]byte, 100)
+	for _, tc := range []struct {
+		name          string
+		room          int
+		size, written int64
+	}{
+		{"healthy", 1 << 20, (nseg-1)*200 + 50, (nseg-1)*50 + 100},
+		{"store fails mid-vector", 60, failAt*200 + 60, failAt*50 + 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewMemServer(storage.DeviceSpec{})
+			e, err := srv.cat.CreateFileAs("/v", "mem", "acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, err := srv.Resource("mem").Create(e.PhysicalKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := mcat.NewMemJournal()
+			srv.cat.SetJournal(j)
+			sess := &session{srv: srv, files: map[int32]*openFile{
+				1: {obj: fillingObj{obj, tc.room}, path: "/v", flags: O_RDWR},
+			}}
+			sess.dispatch(&request{op: opWritev, handle: 1, data: encodeWritev(segs)})
+			grows := 0
+			for _, r := range j.Records() {
+				if r.Op == mcat.JGrowSize {
+					grows++
+				}
+			}
+			if grows != 1 {
+				t.Fatalf("%d JGrowSize records for one extending writev, want 1", grows)
+			}
+			stored, _ := obj.Size()
+			e, _ = srv.cat.Lookup("/v")
+			if stored != tc.size || e.Size != tc.size || srv.cat.Usage("acme") != tc.size {
+				t.Fatalf("stored %d, catalog size %d, usage %d; want %d", stored, e.Size, srv.cat.Usage("acme"), tc.size)
 			}
 			if got := srv.Stats().BytesWritten; got != tc.written {
 				t.Fatalf("BytesWritten = %d, want %d", got, tc.written)
