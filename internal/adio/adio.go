@@ -34,8 +34,6 @@ var ErrUnknownDriver = errors.New("adio: unknown driver")
 //	io_threads      mpiio: async engine worker count
 //	streams         SRBFS: connections to stripe across
 //	stripe_size     SRBFS/federation: stripe unit in bytes
-//	sieve           mpiio: "on"/"off", data sieving for strided views (default on)
-//	sieve_buf_size  mpiio: sieve window size in bytes (default 524288)
 type Hints map[string]string
 
 // Get returns the hint value or a default.
@@ -50,10 +48,13 @@ func (h Hints) Get(key, def string) string {
 }
 
 // File is the per-handle device interface: explicit-offset I/O only, as in
-// ADIO; file pointers and nonblocking calls are layered above.
+// ADIO; file pointers and nonblocking calls are layered above. Every File
+// takes list I/O (VectorIO): a noncontiguous request is the driver's to
+// serve.
 type File interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
+	VectorIO
 	Size() (int64, error)
 	Truncate(size int64) error
 	Sync() error
@@ -67,19 +68,42 @@ type Vec struct {
 	Buf []byte
 }
 
-// VectorIO is an optional fast path a driver's File may implement: many
-// discontiguous extents move in few round trips (ROMIO's list I/O). The
-// MPI-IO layer type-asserts for it on every strided access that spans more
-// than one view frame, and data-sieves only on drivers that lack it.
+// VectorIO moves many discontiguous extents in one call (ROMIO's list
+// I/O). Every driver implements it, and how it serves the list is the
+// driver's choice, as ROMIO leaves it to each ADIO device: memfs loops over
+// the segments, ufs data-sieves them (sieve.go), and SRBFS and FedFS ship
+// the whole vector over the wire in few round trips. The MPI-IO layer
+// sends every strided access that spans more than one view frame here.
 //
-// Semantics mirror ReadAt/WriteAt applied per segment in slice order: the
-// returned count is the contiguous prefix (in segment order) actually
-// transferred, and a transfer that ends early reports io.EOF (reads) or
-// io.ErrShortWrite (writes) alongside that prefix. Segments should be
-// sorted by ascending offset and non-overlapping.
+// Semantics mirror ReadAt/WriteAt applied per segment in slice order
+// (loopVec): the returned count is the contiguous prefix (in segment order)
+// actually transferred, and a transfer that ends early reports io.EOF
+// (reads) or io.ErrShortWrite (writes) alongside that prefix. Segments
+// should be sorted by ascending offset and non-overlapping. The caller may
+// reuse segs and its buffers once the call returns, so an implementation
+// that finishes work later (FedFS's async replicas) copies what it keeps.
 type VectorIO interface {
 	ReadAtVec(segs []Vec) (int, error)
 	WriteAtVec(segs []Vec) (int, error)
+}
+
+// loopVec applies op, a file's ReadAt or WriteAt, to each segment in
+// order and stops at the first error, or at the first short transfer, which
+// it reports as short (io.EOF or io.ErrShortWrite): the reference
+// semantics of VectorIO that every driver's list I/O must match.
+func loopVec(segs []Vec, op func([]byte, int64) (int, error), short error) (int, error) {
+	total := 0
+	for _, s := range segs {
+		n, err := op(s.Buf, s.Off)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		if n < len(s.Buf) {
+			return total, short
+		}
+	}
+	return total, nil
 }
 
 // Driver is one filesystem implementation.

@@ -62,40 +62,14 @@ func (m memFile) ReadAt(p []byte, off int64) (int, error) {
 
 func (m memFile) WriteAt(p []byte, off int64) (int, error) { return m.obj.WriteAt(p, off) }
 
-// ReadAtVec implements VectorIO with a plain per-segment loop — memory is
-// random-access, so the win here is exercising the list-I/O path in tests,
-// not round trips.
-func (m memFile) ReadAtVec(segs []Vec) (int, error) {
-	total := 0
-	for _, s := range segs {
-		n, err := m.ReadAt(s.Buf, s.Off)
-		total += n
-		if err != nil {
-			return total, err
-		}
-		if n < len(s.Buf) {
-			return total, io.EOF
-		}
-	}
-	return total, nil
+// ReadAtVec and WriteAtVec implement VectorIO with a plain per-segment
+// loop: memory is random-access, so there are no round trips to save.
+func (m memFile) ReadAtVec(segs []Vec) (int, error) { return loopVec(segs, m.ReadAt, io.EOF) }
+func (m memFile) WriteAtVec(segs []Vec) (int, error) {
+	return loopVec(segs, m.WriteAt, io.ErrShortWrite)
 }
 
-// WriteAtVec implements VectorIO with a plain per-segment loop.
-func (m memFile) WriteAtVec(segs []Vec) (int, error) {
-	total := 0
-	for _, s := range segs {
-		n, err := m.obj.WriteAt(s.Buf, s.Off)
-		total += n
-		if err != nil {
-			return total, err
-		}
-		if n < len(s.Buf) {
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
-}
-func (m memFile) Size() (int64, error)                     { return m.obj.Size() }
-func (m memFile) Truncate(size int64) error                { return m.obj.Truncate(size) }
-func (m memFile) Sync() error                              { return m.obj.Sync() }
-func (m memFile) Close() error                             { return m.obj.Close() }
+func (m memFile) Size() (int64, error)      { return m.obj.Size() }
+func (m memFile) Truncate(size int64) error { return m.obj.Truncate(size) }
+func (m memFile) Sync() error               { return m.obj.Sync() }
+func (m memFile) Close() error              { return m.obj.Close() }

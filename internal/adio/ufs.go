@@ -2,10 +2,11 @@ package adio
 
 import (
 	"os"
+	"sync"
 )
 
 // UFSDriver is the Unix-filesystem ADIO implementation backed by the host
-// OS (ROMIO's ad_ufs).
+// OS (ROMIO's ad_ufs). Its list I/O is data sieving (sieve.go).
 type UFSDriver struct{}
 
 // Name implements Driver.
@@ -17,7 +18,7 @@ func (UFSDriver) Open(path string, flags int, hints Hints) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ufsFile{f}, nil
+	return &ufsFile{f: f}, nil
 }
 
 // Delete implements Driver.
@@ -49,13 +50,18 @@ func toOSFlags(flags int) int {
 }
 
 type ufsFile struct {
-	f *os.File
+	f   *os.File
+	rmw sync.Mutex // serializes this handle's sieve read-modify-write cycles
 }
 
-func (u ufsFile) ReadAt(p []byte, off int64) (int, error)  { return u.f.ReadAt(p, off) }
-func (u ufsFile) WriteAt(p []byte, off int64) (int, error) { return u.f.WriteAt(p, off) }
+func (u *ufsFile) ReadAt(p []byte, off int64) (int, error)  { return u.f.ReadAt(p, off) }
+func (u *ufsFile) WriteAt(p []byte, off int64) (int, error) { return u.f.WriteAt(p, off) }
+func (u *ufsFile) ReadAtVec(segs []Vec) (int, error)        { return sieveReadVec(u.f, segs, sieveWindow) }
+func (u *ufsFile) WriteAtVec(segs []Vec) (int, error) {
+	return sieveWriteVec(&u.rmw, u.f, segs, sieveWindow)
+}
 
-func (u ufsFile) Size() (int64, error) {
+func (u *ufsFile) Size() (int64, error) {
 	st, err := u.f.Stat()
 	if err != nil {
 		return 0, err
@@ -63,6 +69,6 @@ func (u ufsFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-func (u ufsFile) Truncate(size int64) error { return u.f.Truncate(size) }
-func (u ufsFile) Sync() error               { return u.f.Sync() }
-func (u ufsFile) Close() error              { return u.f.Close() }
+func (u *ufsFile) Truncate(size int64) error { return u.f.Truncate(size) }
+func (u *ufsFile) Sync() error               { return u.f.Sync() }
+func (u *ufsFile) Close() error              { return u.f.Close() }

@@ -1,8 +1,8 @@
 // Package bufpool is the size-classed byte-buffer pool shared by the wire
-// layer (payload buffers) and the MPI-IO layer (sieve windows). Each user
-// keeps its own Pool — class ladders and balance counters stay separate —
-// behind package-local getBuf/putBuf, the names the pooluse lint rule keys
-// its ownership tracking on.
+// layer (srb payload buffers) and the ADIO layer (the run buffers of adio's
+// ufs data sieve). Each user keeps its own Pool — class ladders and balance
+// counters stay separate — behind package-local getBuf/putBuf, the names
+// the pooluse lint rule keys its ownership tracking on.
 //
 // Ownership discipline: a buffer obtained from Get is owned by exactly one
 // party at a time and may be released at most once, only after the last

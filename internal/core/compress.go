@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"semplar/internal/adio"
 	"semplar/internal/lzo"
 )
 
@@ -35,7 +34,7 @@ func (s CompressStats) Ratio() float64 {
 // write of block k is submitted asynchronously and block k+1 is compressed
 // while k is in flight, the pipelining the paper's loop structure and
 // asynchronous-call placement achieve (Section 7.3).
-func WriteCompressed(f adio.File, off int64, src []byte, blockSize int, eng *Engine) (CompressStats, error) {
+func WriteCompressed(f io.WriterAt, off int64, src []byte, blockSize int, eng *Engine) (CompressStats, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultCompressBlock
 	}
@@ -85,7 +84,10 @@ func WriteCompressed(f adio.File, off int64, src []byte, blockSize int, eng *Eng
 // ReadCompressed reads consecutive framed LZO blocks from f starting at
 // off until end-of-file and returns the decompressed bytes. With an engine
 // the read of block k+1 is prefetched while block k decompresses.
-func ReadCompressed(f adio.File, off int64, eng *Engine) ([]byte, error) {
+func ReadCompressed(f interface {
+	io.ReaderAt
+	Size() (int64, error)
+}, off int64, eng *Engine) ([]byte, error) {
 	size, err := f.Size()
 	if err != nil {
 		return nil, err

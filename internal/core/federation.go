@@ -245,7 +245,6 @@ type fedFile struct {
 }
 
 var _ adio.File = (*fedFile)(nil)
-var _ adio.VectorIO = (*fedFile)(nil)
 var _ FaultReporter = (*fedFile)(nil)
 
 // getHandle returns the (server, slot) handle, opening it on first use.

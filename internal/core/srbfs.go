@@ -282,7 +282,6 @@ type srbFile struct {
 }
 
 var _ adio.File = (*srbFile)(nil)
-var _ adio.VectorIO = (*srbFile)(nil)
 var _ FaultReporter = (*srbFile)(nil)
 
 // Streams reports how many TCP streams back this handle.

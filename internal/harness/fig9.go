@@ -96,7 +96,7 @@ func runCompressionOnce(spec cluster.Spec, np int, src []byte, block int, async 
 			if async {
 				// On-the-fly LZO compression pipelined with the
 				// transfer through the async engine.
-				if _, err := core.WriteCompressed(fileOf(f), 0, src, block, f.Engine()); err != nil {
+				if _, err := core.WriteCompressed(f, 0, src, block, f.Engine()); err != nil {
 					return err
 				}
 			} else {
@@ -115,16 +115,3 @@ func runCompressionOnce(spec cluster.Spec, np int, src []byte, block int, async 
 		return elapsed, err
 	})
 }
-
-// fileOf adapts an mpiio.File to the adio.File interface WriteCompressed
-// expects (explicit-offset subset).
-func fileOf(f *mpiio.File) adio.File { return mpiioAdapter{f} }
-
-type mpiioAdapter struct{ f *mpiio.File }
-
-func (a mpiioAdapter) ReadAt(p []byte, off int64) (int, error)  { return a.f.ReadAt(p, off) }
-func (a mpiioAdapter) WriteAt(p []byte, off int64) (int, error) { return a.f.WriteAt(p, off) }
-func (a mpiioAdapter) Size() (int64, error)                     { return a.f.Size() }
-func (a mpiioAdapter) Truncate(size int64) error                { return a.f.SetSize(size) }
-func (a mpiioAdapter) Sync() error                              { return a.f.Sync() }
-func (a mpiioAdapter) Close() error                             { return a.f.Close() }

@@ -110,7 +110,7 @@ func TestCollectiveViewUnevenTails(t *testing.T) {
 		n, err := f.ReadAtAll(c, buf, 0)
 
 		// Reference: same transfer through the independent (list-I/O) path.
-		nf, err2 := OpenLocal(reg, "mem:/tails", adio.O_RDONLY, naiveHints)
+		nf, err2 := OpenLocal(reg, "mem:/tails", adio.O_RDONLY, nil)
 		if err2 != nil {
 			return err2
 		}

@@ -15,12 +15,14 @@ type FileStats struct {
 	AsyncWrites  int64
 	BytesRead    int64
 	BytesWritten int64
-	// PhysBytesRead/PhysBytesWritten count bytes actually moved through
-	// the driver, as opposed to the logical BytesRead/BytesWritten the
-	// application asked for. Data sieving reads whole windows (including
-	// the gaps between view frames) and rewrites them, so phys > logical
-	// there; the gap is the read/write amplification the sieve_buf_size
-	// hint trades against round trips.
+	// PhysBytesRead/PhysBytesWritten count bytes handed to and from the
+	// driver, as opposed to the logical BytesRead/BytesWritten the
+	// application asked for. On independent access a view maps every
+	// logical byte to one physical byte, so the two agree; a collective
+	// call counts the driver traffic of this rank as an aggregator.
+	// Amplification below the driver interface is invisible here: ufs
+	// sieves inside its own list I/O, reading and rewriting the gaps
+	// between view frames.
 	PhysBytesRead    int64
 	PhysBytesWritten int64
 	// BlockingTime is time spent inside blocking calls (Read/Write

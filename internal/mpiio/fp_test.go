@@ -10,12 +10,14 @@ import (
 
 // shortFile is an adio.File whose WriteAt/ReadAt move at most cap bytes
 // per call (optionally with an error), for exercising the file-pointer
-// bookkeeping around partial operations.
+// bookkeeping around partial operations. Its vector calls are counted and
+// run one clipped segment at a time.
 type shortFile struct {
 	data    []byte
 	cap     int
 	werr    error // returned alongside short writes
 	lastOff int64
+	vecs    int // ReadAtVec and WriteAtVec calls
 }
 
 func (f *shortFile) clip(p []byte) []byte {
@@ -48,6 +50,33 @@ func (f *shortFile) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+func (f *shortFile) ReadAtVec(segs []adio.Vec) (int, error) {
+	f.vecs++
+	return segLoop(segs, f.ReadAt, io.EOF)
+}
+
+func (f *shortFile) WriteAtVec(segs []adio.Vec) (int, error) {
+	f.vecs++
+	return segLoop(segs, f.WriteAt, io.ErrShortWrite)
+}
+
+// segLoop applies op to each segment in order and stops at the first error
+// or short transfer, which reports short: the adio.VectorIO semantics.
+func segLoop(segs []adio.Vec, op func([]byte, int64) (int, error), short error) (int, error) {
+	total := 0
+	for _, s := range segs {
+		n, err := op(s.Buf, s.Off)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		if n < len(s.Buf) {
+			return total, short
+		}
+	}
+	return total, nil
 }
 
 func (f *shortFile) Size() (int64, error)    { return int64(len(f.data)), nil }
@@ -154,5 +183,27 @@ func TestWriteErrorRollsBackFully(t *testing.T) {
 	}
 	if fp := f.Tell(); fp != int64(n) {
 		t.Fatalf("fp = %d after %d-byte failed write", fp, n)
+	}
+}
+
+// TestStridedWriteShortRollsBackFilePointer: a strided Write() is one
+// WriteAtVec, and when that comes up short the file pointer sits after the
+// logical prefix the driver confirmed.
+func TestStridedWriteShortRollsBackFilePointer(t *testing.T) {
+	inner := &shortFile{cap: 4, werr: io.ErrShortWrite}
+	f, err := OpenLocal(shortRegistry(inner), "short:/f", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.SetView(View{BlockLen: 4, Stride: 8}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := f.Write([]byte("0123456789"))
+	if n != 4 || !errors.Is(err, io.ErrShortWrite) || inner.vecs != 1 {
+		t.Fatalf("strided short write = %d, %v in %d vector calls; want 4, ErrShortWrite in 1", n, err, inner.vecs)
+	}
+	if fp := f.Tell(); fp != 4 {
+		t.Fatalf("fp after strided short write = %d, want 4", fp)
 	}
 }

@@ -44,12 +44,6 @@ type File struct {
 	counters fileCounters
 	view     View // logical-to-physical mapping (MPI_File_set_view)
 
-	// sieve holds the parsed noncontiguous-access hints; immutable after
-	// Open. sieveMu is the per-handle window lock serializing sieved
-	// read-modify-write cycles (see sieve.go for the concurrency contract).
-	sieve   sieveConfig
-	sieveMu sync.Mutex
-
 	// collSeq numbers collective calls so each gets a private tag
 	// block; all ranks advance it identically by issuing collectives in
 	// the same order.
@@ -81,9 +75,11 @@ func (f *File) nextCollTag() int {
 // Open opens path through the registry. Inside an MPI job it is
 // collective: every rank must call it, and either all ranks succeed or all
 // observe failure. Hints: "io_threads" sets the async engine pool size
-// (default 1, the paper's single-I/O-thread configuration); "sieve" and
-// "sieve_buf_size" tune data sieving on drivers without list I/O (see
-// sieve.go and adio.Hints); driver hints such as "streams" pass through.
+// (default 1, the paper's single-I/O-thread configuration); driver hints
+// such as "streams" pass through. Strided access through a view reaches the
+// driver as list I/O, served however the driver chooses (adio.VectorIO):
+// memfs loops, ufs data-sieves, SRBFS and FedFS ship the vector. On ufs
+// handles the sieve's rule of one writer per window-sized region applies.
 func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio.Hints) (*File, error) {
 	threads := 1
 	if v := hints.Get("io_threads", ""); v != "" {
@@ -92,10 +88,6 @@ func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio
 			return nil, fmt.Errorf("mpiio: bad io_threads hint %q", v)
 		}
 		threads = n
-	}
-	scfg, err := parseSieveHints(hints)
-	if err != nil {
-		return nil, err
 	}
 	inner, err := reg.Open(path, flags, hints)
 
@@ -119,7 +111,7 @@ func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio
 		return nil, fmt.Errorf("mpiio: open %s: %w", path, err)
 	}
 
-	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads), sieve: scfg}, nil
+	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads)}, nil
 }
 
 // OpenLocal opens a file outside an MPI job (comm == nil).

@@ -2,9 +2,10 @@ package mpiio
 
 import (
 	"fmt"
-	"io"
+	"sync"
 
 	"semplar/internal/adio"
+	"semplar/internal/trace"
 )
 
 // View is a simplified MPI_File_set_view: a byte displacement plus a
@@ -86,78 +87,61 @@ func (f *File) writePhys(p []byte, off int64) (int, error) {
 	return f.viewIO(p, off, true)
 }
 
-// viewIO routes a logical transfer through the handle's view, picking the
-// cheapest correct strategy from what the driver can do:
+// viewIO routes a logical transfer through the handle's view. Strided
+// access is the driver's job (adio.VectorIO), so there are two outcomes:
 //
-//   - contiguous views (including the BlockLen == Stride degenerate, whose
-//     frames tile with no gaps) become one driver op at Disp+off;
-//   - strided accesses spanning at least two frames go to list I/O, at any
-//     density, when the driver supports adio.VectorIO;
-//   - on other drivers they are data-sieved;
-//   - everything else (single-frame accesses, sieving disabled, windows too
-//     big for the sieve buffer) falls back to the naive per-piece loop.
+//   - a contiguous view (including the BlockLen == Stride degenerate, whose
+//     frames tile with no gaps), or an access inside one frame, is one
+//     scalar driver op at its physical offset;
+//   - every other strided access is one list-I/O call (listIO).
 func (f *File) viewIO(p []byte, off int64, write bool) (int, error) {
 	f.mu.Lock()
 	v := f.view
 	f.mu.Unlock()
-	if v.contiguous() || v.BlockLen == v.Stride {
-		var n int
-		var err error
-		if write {
-			n, err = f.inner.WriteAt(p, v.Disp+off)
-		} else {
-			n, err = f.inner.ReadAt(p, v.Disp+off)
-		}
-		f.counters.recordPhys(!write, n)
-		return n, err
+	if !v.contiguous() && v.BlockLen != v.Stride && len(p) > 0 &&
+		(off+int64(len(p))-1)/v.BlockLen > off/v.BlockLen {
+		return f.listIO(v, p, off, write)
 	}
-	if len(p) > 0 && (off+int64(len(p))-1)/v.BlockLen > off/v.BlockLen {
-		if vio, ok := f.inner.(adio.VectorIO); ok {
-			return f.listIO(vio, v, p, off, write)
-		}
-		if f.sieve.sieve {
-			if write {
-				return f.sievedWrite(v, p, off)
-			}
-			return f.sievedRead(v, p, off)
-		}
+	var n int
+	var err error
+	if write {
+		n, err = f.inner.WriteAt(p, v.physical(off))
+	} else {
+		n, err = f.inner.ReadAt(p, v.physical(off))
 	}
-	return f.naiveViewIO(v, p, off, write)
+	f.counters.recordPhys(!write, n)
+	return n, err
 }
 
-// naiveViewIO splits the logical range on frame boundaries and pays one
-// driver op per contiguous piece — the pre-sieving behavior, kept as the
-// fallback and as the semantic reference the fast paths must match.
-func (f *File) naiveViewIO(v View, p []byte, off int64, write bool) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		logical := off + int64(total)
-		within := logical % v.BlockLen
-		take := v.BlockLen - within
-		if take > int64(len(p)) {
-			take = int64(len(p))
-		}
-		phys := v.physical(logical)
-		var n int
-		var err error
-		if write {
-			n, err = f.inner.WriteAt(p[:take], phys)
-		} else {
-			n, err = f.inner.ReadAt(p[:take], phys)
-		}
-		f.counters.recordPhys(!write, n)
-		total += n
-		p = p[take:]
-		if err != nil {
-			if err == io.EOF && len(p) == 0 && int64(n) == take {
-				// Exactly filled the final piece.
-				return total, nil
-			}
-			return total, err
-		}
-		if int64(n) < take {
-			return total, io.EOF
-		}
+// vecLists recycles listIO's segment lists, which no driver keeps past the
+// call; a list per strided access would otherwise cost an allocation that
+// the garbage collector must scan.
+var vecLists = sync.Pool{New: func() any { return new([]adio.Vec) }}
+
+// listIO moves a strided transfer as one offset/length vector, cut on frame
+// boundaries, through the driver's list I/O. The driver decides how to
+// serve it; prefix-and-error semantics are those of adio.VectorIO.
+func (f *File) listIO(v View, p []byte, off int64, write bool) (int, error) {
+	list := vecLists.Get().(*[]adio.Vec)
+	vecs := (*list)[:0]
+	for rest, logical := p, off; len(rest) > 0; {
+		take := min(v.BlockLen-logical%v.BlockLen, int64(len(rest)))
+		vecs = append(vecs, adio.Vec{Off: v.physical(logical), Buf: rest[:take]})
+		rest = rest[take:]
+		logical += take
 	}
-	return total, nil
+	sp := f.tracer.Begin("mpiio", "listio", f.lane)
+	var n int
+	var err error
+	if write {
+		n, err = f.inner.WriteAtVec(vecs)
+	} else {
+		n, err = f.inner.ReadAtVec(vecs)
+	}
+	sp.End(trace.Int("n", int64(n)), trace.Int("segs", int64(len(vecs))))
+	f.counters.recordPhys(!write, n)
+	clear(vecs) // drop the references to p before the list is reused
+	*list = vecs
+	vecLists.Put(list)
+	return n, err
 }

@@ -291,28 +291,17 @@ type CompressStats = core.CompressStats
 // asynchronous engine (the Section 7.3 optimization). blockSize <= 0 uses
 // the paper's 1 MB.
 func WriteCompressed(f *File, off int64, data []byte, blockSize int) (CompressStats, error) {
-	return core.WriteCompressed(fileAdapter{f.File}, off, data, blockSize, f.Engine())
+	return core.WriteCompressed(f.File, off, data, blockSize, f.Engine())
 }
 
 // WriteCompressedSync is the unpipelined variant: compression sits on the
 // critical path (the baseline the paper's condition inequality describes).
 func WriteCompressedSync(f *File, off int64, data []byte, blockSize int) (CompressStats, error) {
-	return core.WriteCompressed(fileAdapter{f.File}, off, data, blockSize, nil)
+	return core.WriteCompressed(f.File, off, data, blockSize, nil)
 }
 
 // ReadCompressed reads consecutive framed LZO blocks from f starting at
 // off, prefetching the next block while the current one decompresses.
 func ReadCompressed(f *File, off int64) ([]byte, error) {
-	return core.ReadCompressed(fileAdapter{f.File}, off, f.Engine())
+	return core.ReadCompressed(f.File, off, f.Engine())
 }
-
-// fileAdapter exposes the explicit-offset subset of mpiio.File as an
-// adio.File for the compression pipeline.
-type fileAdapter struct{ f *mpiio.File }
-
-func (a fileAdapter) ReadAt(p []byte, off int64) (int, error)  { return a.f.ReadAt(p, off) }
-func (a fileAdapter) WriteAt(p []byte, off int64) (int, error) { return a.f.WriteAt(p, off) }
-func (a fileAdapter) Size() (int64, error)                     { return a.f.Size() }
-func (a fileAdapter) Truncate(size int64) error                { return a.f.SetSize(size) }
-func (a fileAdapter) Sync() error                              { return a.f.Sync() }
-func (a fileAdapter) Close() error                             { return a.f.Close() }
