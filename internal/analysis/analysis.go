@@ -31,6 +31,11 @@
 //   - goexit: every goroutine in client/server/engine packages has a
 //     provable exit path (conn close, channel, context, shutdown flag).
 //
+// One path-sensitive statement walker (walk.go) serves the lock rules and
+// the ownership rules: lockheld and the summary builder share one
+// held-lock tracker on it, and pooluse and spanbalance share one
+// ownership rule (flow.go).
+//
 // Deliberate exceptions are annotated in the source with a
 // "//lint:allow <rule>[,<rule>...] -- reason" pragma, which suppresses
 // findings on the pragma's line and the line below it.

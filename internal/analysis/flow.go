@@ -5,14 +5,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 )
 
-// flow.go is the path-sensitive resource-balance walker shared by pooluse
-// and spanbalance. It tracks local variables bound to an acquired resource
-// (a pooled buffer, a started span) through the same sequential branch
-// model lockheld uses, and reports:
+// flow.go is the path-sensitive resource-balance rule shared by pooluse
+// and spanbalance. On flowWalk (walk.go), the walker the lock rules run on
+// too, it tracks local variables bound to an acquired resource (a pooled
+// buffer, a started span) and reports:
 //
 //   - leak: a variable still definitely Live at a return or at the end of
 //     its binding block,
@@ -42,15 +43,7 @@ type ownVal struct {
 
 type ownEnv map[*types.Var]ownVal
 
-func (e ownEnv) clone() ownEnv {
-	c := make(ownEnv, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
-
-// ownHooks parameterize the walker per rule.
+// ownHooks parameterize the ownership rule per analyzer.
 type ownHooks struct {
 	rule string
 	what string // noun for messages: "pooled buffer", "trace span"
@@ -70,7 +63,7 @@ type ownHooks struct {
 	reportEscapeStore bool
 }
 
-// ownScan walks one function body.
+// ownScan is the ownership rule on flowWalk for one function body.
 type ownScan struct {
 	p     *Package
 	h     *ownHooks
@@ -119,7 +112,7 @@ func runOwnScan(p *Package, h *ownHooks, diags *[]Diagnostic) {
 					}
 				}
 			}
-			s.stmts(sc.body.List, ownEnv{})
+			flowWalk[ownEnv]{s}.stmts(sc.body.List, ownEnv{})
 		})
 	}
 }
@@ -138,14 +131,13 @@ func (s *ownScan) leak(v *types.Var, val ownVal, pos token.Pos) {
 		s.fn, s.h.what, v.Name(), s.site(val.def), s.h.releaseName)
 }
 
-// stmts walks a statement list sequentially. At the end of a
-// non-terminating list, variables bound inside it that are still
-// definitely Live leak: the binding goes out of scope here.
-func (s *ownScan) stmts(list []ast.Stmt, env ownEnv) {
-	s.defStack = append(s.defStack, nil)
-	for _, st := range list {
-		s.stmt(st, env)
-	}
+func (s *ownScan) clone(env ownEnv) ownEnv { return maps.Clone(env) }
+
+func (s *ownScan) openList() { s.defStack = append(s.defStack, nil) }
+
+// closeList ends a statement list's scope: variables bound in it that are
+// still definitely Live when the list falls off its end leak.
+func (s *ownScan) closeList(list []ast.Stmt, env ownEnv) {
 	defs := s.defStack[len(s.defStack)-1]
 	s.defStack = s.defStack[:len(s.defStack)-1]
 	ending := !terminates(list)
@@ -165,25 +157,17 @@ func (s *ownScan) defined(v *types.Var) {
 	}
 }
 
-func (s *ownScan) branch(list []ast.Stmt, env ownEnv) (ownEnv, bool) {
-	c := env.clone()
-	s.stmts(list, c)
-	return c, terminates(list)
-}
-
-// mergeOwn folds fall-through branch outcomes into env. A variable keeps
-// a definite state only when every outcome agrees; disagreement (or
-// absence on some path) degrades to Maybe; absence on every path drops it.
-func mergeOwn(env ownEnv, outcomes []ownEnv) {
+// join folds fall-through branch outcomes into env. A variable keeps a
+// definite state only when every outcome agrees; disagreement (or absence
+// on some path) degrades to Maybe; absence on every path drops it.
+func (s *ownScan) join(env ownEnv, outcomes []ownEnv) {
 	keys := map[*types.Var]bool{}
 	for _, o := range outcomes {
 		for k := range o {
 			keys[k] = true
 		}
 	}
-	for k := range env {
-		delete(env, k)
-	}
+	clear(env)
 	for k := range keys {
 		var vals []ownVal
 		everywhere := true
@@ -208,9 +192,20 @@ func mergeOwn(env ownEnv, outcomes []ownEnv) {
 	}
 }
 
-func (s *ownScan) stmt(st ast.Stmt, env ownEnv) {
-	switch t := st.(type) {
-	case nil:
+// selectHeader scans each comm clause's send or receive on its own clone
+// of env, so its effects stay out of the clause body. The pre-state always
+// joins the clause outcomes.
+func (s *ownScan) selectHeader(sel *ast.SelectStmt, env ownEnv) bool {
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+			s.leaf(cc.Comm, maps.Clone(env))
+		}
+	}
+	return true
+}
+
+func (s *ownScan) leaf(n ast.Node, env ownEnv) {
+	switch t := n.(type) {
 	case *ast.ExprStmt:
 		s.topCall(t.X, env)
 	case *ast.AssignStmt:
@@ -259,81 +254,11 @@ func (s *ownScan) stmt(st ast.Stmt, env ownEnv) {
 		}
 	case *ast.IncDecStmt:
 		s.scanExpr(t.X, env, false)
-	case *ast.LabeledStmt:
-		s.stmt(t.Stmt, env)
-	case *ast.BlockStmt:
-		s.stmts(t.List, env)
-	case *ast.IfStmt:
-		s.stmt(t.Init, env)
-		s.scanExpr(t.Cond, env, false)
-		var outcomes []ownEnv
-		thenEnv, thenTerm := s.branch(t.Body.List, env)
-		if !thenTerm {
-			outcomes = append(outcomes, thenEnv)
-		}
-		if t.Else != nil {
-			elseEnv, elseTerm := s.branch([]ast.Stmt{t.Else}, env)
-			if !elseTerm {
-				outcomes = append(outcomes, elseEnv)
-			}
-		} else {
-			outcomes = append(outcomes, env.clone())
-		}
-		if len(outcomes) > 0 {
-			mergeOwn(env, outcomes)
-		}
-	case *ast.ForStmt:
-		s.stmt(t.Init, env)
-		s.scanExpr(t.Cond, env, false)
-		body, term := s.branch(t.Body.List, env)
-		s.stmt(t.Post, body.clone())
-		outcomes := []ownEnv{env.clone()}
-		if !term {
-			outcomes = append(outcomes, body)
-		}
-		mergeOwn(env, outcomes)
 	case *ast.RangeStmt:
 		s.scanExpr(t.X, env, false)
-		body, term := s.branch(t.Body.List, env)
-		outcomes := []ownEnv{env.clone()}
-		if !term {
-			outcomes = append(outcomes, body)
-		}
-		mergeOwn(env, outcomes)
-	case *ast.SwitchStmt:
-		s.stmt(t.Init, env)
-		s.scanExpr(t.Tag, env, false)
-		s.caseBodies(t.Body, env)
-	case *ast.TypeSwitchStmt:
-		s.stmt(t.Init, env)
-		s.stmt(t.Assign, env)
-		s.caseBodies(t.Body, env)
-	case *ast.SelectStmt:
-		s.caseBodies(t.Body, env)
+	case ast.Expr:
+		s.scanExpr(t, env, false)
 	}
-}
-
-func (s *ownScan) caseBodies(body *ast.BlockStmt, env ownEnv) {
-	outcomes := []ownEnv{env.clone()}
-	for _, c := range body.List {
-		var list []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			list = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				s.stmt(cc.Comm, env.clone())
-			}
-			list = cc.Body
-		default:
-			continue
-		}
-		out, term := s.branch(list, env)
-		if !term {
-			outcomes = append(outcomes, out)
-		}
-	}
-	mergeOwn(env, outcomes)
 }
 
 // assign handles the binding forms. Pairwise when lengths match (a, b :=

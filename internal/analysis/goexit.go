@@ -108,23 +108,10 @@ type exitScan struct {
 }
 
 // transitive folds bodyFacts over fn and every same-package function it
-// (transitively) calls. The memo is seeded before descending so recursion
-// terminates; a cycle contributes what is known so far.
+// (transitively) calls.
 func (g *exitScan) transitive(fn *types.Func) exitFacts {
-	if got, ok := g.memo[fn]; ok {
-		return *got
-	}
-	facts := &exitFacts{}
-	g.memo[fn] = facts
-	s := g.ps.funcs[fn]
-	if s == nil {
-		return *facts
-	}
-	facts.union(g.bodyFacts(s.body))
-	for _, cs := range s.calls {
-		facts.union(g.transitive(cs.callee))
-	}
-	return *facts
+	return transitive(g.ps, g.memo, fn,
+		func(s *funcSummary) exitFacts { return g.bodyFacts(s.body) }, (*exitFacts).union)
 }
 
 // addTransitive extends facts with the transitive facts of every

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -18,12 +19,9 @@ func exprKey(e ast.Expr) string { return types.ExprString(e) }
 // exempt — it releases the mutex), and Read/Write-family calls whose
 // receiver is an interface (io.Reader, net.Conn, ...) or a net/bufio type.
 //
-// The walk is intraprocedural and syntactic-sequential: a mutex is held
-// from <expr>.Lock() until <expr>.Unlock() in the same function; a
-// deferred unlock keeps it held until return. Branch bodies that end in
-// return/break/continue do not leak their lock-state changes past the
-// branch; fall-through branch states are unioned. Function literals are
-// analyzed as separate functions with an empty lock set, because their
+// The walk is intraprocedural: the held-lock tracker below, on flowWalk
+// (walk.go), keyed by the printed receiver expression. Function literals
+// are analyzed as separate functions with an empty lock set, because their
 // bodies typically run on other goroutines (go, AfterFunc, callbacks).
 //
 // Deliberate serialization points (a connection mutex held across its own
@@ -35,305 +33,209 @@ func (lockheld) Doc() string {
 	return "mutexes must not be held across blocking operations (channel ops, select, interface I/O, Sleep, Wait)"
 }
 
-// heldSet maps a mutex key (the printed receiver expression, e.g. "c.mu")
-// to the position of its Lock call.
-type heldSet map[string]token.Pos
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func (h heldSet) keys() []string {
-	out := make([]string, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (lockheld) Run(pkg *Package) []Diagnostic {
-	s := &lockScan{pkg: pkg}
+	r := &lockReport{pkg: pkg}
 	for _, f := range pkg.Files {
 		funcScopes(f, func(sc *funcScope) {
-			s.fn = sc.name
-			s.stmts(sc.body.List, heldSet{})
+			r.fn = sc.name
+			walkLocks[string](pkg, r, sc.body)
 		})
 	}
-	return s.diags
+	return r.diags
 }
 
-type lockScan struct {
-	pkg   *Package
-	fn    string
-	diags []Diagnostic
+// heldLocks maps each held mutex, under the key its client chooses, to the
+// position of its Lock call.
+type heldLocks[K comparable] map[K]token.Pos
+
+// lockClient is what a user of the held-lock tracker supplies: how a mutex
+// is keyed, and what to record as the walk goes.
+type lockClient[K comparable] interface {
+	// key identifies the mutex a Lock/Unlock call names; ok false leaves
+	// the call recognized but untracked.
+	key(mutex ast.Expr) (k K, ok bool)
+	// locked sees an acquisition before k joins held.
+	locked(k K, mutex ast.Expr, call *ast.CallExpr, held heldLocks[K])
+	// visit sees every node evaluated under held: the nodes of each
+	// evaluated expression (function literals excluded), plus send and
+	// range statements. A deferred call's nodes are visited with nothing
+	// held.
+	visit(n ast.Node, held heldLocks[K])
+	// selectHeader is flowRule's.
+	selectHeader(sel *ast.SelectStmt, held heldLocks[K]) bool
 }
 
-// stmts walks a statement list sequentially, mutating held in place.
-func (s *lockScan) stmts(list []ast.Stmt, held heldSet) {
-	for _, st := range list {
-		s.stmt(st, held)
-	}
+// heldTracker is the held-lock rule on flowWalk that lockheld and the
+// summary builder share. A mutex is held from <expr>.Lock() until
+// <expr>.Unlock(); a deferred unlock keeps it held to return; after a
+// branch, a mutex is held if any outcome that falls through holds it.
+type heldTracker[K comparable] struct {
+	pkg *Package
+	c   lockClient[K]
 }
 
-// terminates reports whether a statement list ends by leaving the
-// enclosing control flow (so its lock-state changes cannot reach the code
-// after the branch).
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
+// walkLocks runs the tracker over one function body, starting with nothing
+// held.
+func walkLocks[K comparable](pkg *Package, c lockClient[K], body *ast.BlockStmt) {
+	flowWalk[heldLocks[K]]{&heldTracker[K]{pkg, c}}.stmts(body.List, heldLocks[K]{})
 }
 
-// branch processes a nested statement list on a copy of held and returns
-// the copy plus whether the list terminates.
-func (s *lockScan) branch(list []ast.Stmt, held heldSet) (heldSet, bool) {
-	c := held.clone()
-	s.stmts(list, c)
-	return c, terminates(list)
-}
+func (t *heldTracker[K]) clone(held heldLocks[K]) heldLocks[K] { return maps.Clone(held) }
 
-// merge folds the fall-through branch outcomes back into held: a mutex is
-// considered held after the branch if any non-terminating path holds it.
-func merge(held heldSet, outcomes []heldSet) {
-	for k := range held {
-		delete(held, k)
-	}
+func (t *heldTracker[K]) join(held heldLocks[K], outcomes []heldLocks[K]) {
+	clear(held)
 	for _, o := range outcomes {
-		for k, v := range o {
-			held[k] = v
-		}
+		maps.Copy(held, o)
 	}
 }
 
-func (s *lockScan) stmt(st ast.Stmt, held heldSet) {
-	switch t := st.(type) {
-	case nil:
+func (t *heldTracker[K]) selectHeader(sel *ast.SelectStmt, held heldLocks[K]) bool {
+	return t.c.selectHeader(sel, held)
+}
+
+func (t *heldTracker[K]) openList()                          {}
+func (t *heldTracker[K]) closeList([]ast.Stmt, heldLocks[K]) {}
+
+func (t *heldTracker[K]) leaf(n ast.Node, held heldLocks[K]) {
+	switch x := n.(type) {
 	case *ast.ExprStmt:
-		if key, locking, ok := s.lockOp(t.X); ok {
-			if locking {
-				held[key] = t.Pos()
-			} else {
-				delete(held, key)
-			}
-			return
+		if !t.lockOp(x.X, held) {
+			t.scan(x.X, held)
 		}
-		s.expr(t.X, held)
 	case *ast.DeferStmt:
 		// A deferred unlock releases at return, so the mutex stays held
-		// for everything that follows; a deferred anything-else runs
-		// outside this statement order. Either way there is nothing to
-		// track here beyond literals queued for their own scan (handled
-		// by funcScopes).
-	case *ast.SendStmt:
-		s.reportBlocked(t.Pos(), "channel send", held)
-		s.expr(t.Chan, held)
-		s.expr(t.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range t.Rhs {
-			s.expr(e, held)
+		// for everything that follows. Any other deferred call runs at
+		// return too, outside this statement order.
+		if !t.lockOp(x.Call, nil) {
+			t.scan(x.Call, nil)
 		}
-		for _, e := range t.Lhs {
-			s.expr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := t.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.expr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			s.expr(e, held)
-		}
-	case *ast.IncDecStmt:
-		s.expr(t.X, held)
 	case *ast.GoStmt:
-		// The spawned body runs concurrently (fresh scan via funcScopes);
+		// The spawned body runs concurrently (a literal gets its own walk);
 		// only the call's operands are evaluated here.
-		for _, a := range t.Call.Args {
-			s.expr(a, held)
+		for _, a := range x.Call.Args {
+			t.scan(a, held)
 		}
-	case *ast.LabeledStmt:
-		s.stmt(t.Stmt, held)
-	case *ast.BlockStmt:
-		s.stmts(t.List, held)
-	case *ast.IfStmt:
-		s.stmt(t.Init, held)
-		s.expr(t.Cond, held)
-		var outcomes []heldSet
-		thenHeld, thenTerm := s.branch(t.Body.List, held)
-		if !thenTerm {
-			outcomes = append(outcomes, thenHeld)
-		}
-		if t.Else != nil {
-			elseHeld, elseTerm := s.branch([]ast.Stmt{t.Else}, held)
-			if !elseTerm {
-				outcomes = append(outcomes, elseHeld)
-			}
-		} else {
-			outcomes = append(outcomes, held.clone())
-		}
-		if len(outcomes) > 0 {
-			merge(held, outcomes)
-		}
-	case *ast.ForStmt:
-		s.stmt(t.Init, held)
-		s.expr(t.Cond, held)
-		body, term := s.branch(t.Body.List, held)
-		s.stmt(t.Post, body.clone())
-		outcomes := []heldSet{held.clone()}
-		if !term {
-			outcomes = append(outcomes, body)
-		}
-		merge(held, outcomes)
 	case *ast.RangeStmt:
-		if isChanType(s.pkg, t.X) {
-			s.reportBlocked(t.Pos(), "range over channel", held)
+		t.c.visit(x, held)
+		t.scan(x.X, held)
+	case *ast.AssignStmt:
+		for _, e := range x.Rhs {
+			t.scan(e, held)
 		}
-		s.expr(t.X, held)
-		body, term := s.branch(t.Body.List, held)
-		outcomes := []heldSet{held.clone()}
-		if !term {
-			outcomes = append(outcomes, body)
+		for _, e := range x.Lhs {
+			t.scan(e, held)
 		}
-		merge(held, outcomes)
-	case *ast.SwitchStmt:
-		s.stmt(t.Init, held)
-		s.expr(t.Tag, held)
-		s.caseBodies(t.Body, held, true)
-	case *ast.TypeSwitchStmt:
-		s.stmt(t.Init, held)
-		s.stmt(t.Assign, held)
-		s.caseBodies(t.Body, held, true)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range t.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			s.reportBlocked(t.Pos(), "select", held)
-		}
-		s.caseBodies(t.Body, held, hasDefault)
+	case *ast.DeclStmt, *ast.SendStmt, *ast.ReturnStmt, *ast.IncDecStmt, ast.Expr:
+		t.scan(x, held)
 	}
 }
 
-// caseBodies walks each clause of a switch/select body on its own copy of
-// held and merges the fall-through outcomes. withFallthrough adds the
-// pre-state as an outcome when no clause is guaranteed to run (no default
-// in a switch).
-func (s *lockScan) caseBodies(body *ast.BlockStmt, held heldSet, withPre bool) {
-	var outcomes []heldSet
-	for _, c := range body.List {
-		var list []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			list = cc.Body
-		case *ast.CommClause:
-			// The comm op itself (send/recv in the case) is not a separate
-			// blocking point: select's readiness semantics cover it, and the
-			// select statement was already reported when it lacks a default.
-			list = cc.Body
-		default:
-			continue
-		}
-		out, term := s.branch(list, held)
-		if !term {
-			outcomes = append(outcomes, out)
-		}
-	}
-	if withPre {
-		outcomes = append(outcomes, held.clone())
-	}
-	if len(outcomes) > 0 {
-		merge(held, outcomes)
-	}
-}
-
-// expr scans an expression for blocking operations, without descending
-// into function literals.
-func (s *lockScan) expr(e ast.Expr, held heldSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				s.reportBlocked(x.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			if desc, ok := s.blockingCall(x); ok {
-				s.reportBlocked(x.Pos(), desc, held)
-			}
-		}
+// scan visits n's nodes under held, without descending into function
+// literals.
+func (t *heldTracker[K]) scan(n ast.Node, held heldLocks[K]) {
+	ownNodes(n, func(m ast.Node) bool {
+		t.c.visit(m, held)
 		return true
 	})
 }
 
-func (s *lockScan) reportBlocked(pos token.Pos, what string, held heldSet) {
-	if len(held) == 0 {
-		return
+// lockOp applies <expr>.Lock/RLock/Unlock/RUnlock() on a sync mutex to held
+// and reports whether e is one. A nil held recognizes the call without
+// applying it (a deferred unlock).
+func (t *heldTracker[K]) lockOp(e ast.Expr, held heldLocks[K]) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	keys := held.keys()
-	lockPos := s.pkg.Fset.Position(held[keys[0]])
-	s.diags = append(s.diags, s.pkg.diag(pos, "lockheld",
-		"%s blocks on %s while holding %s (locked at %s:%d)",
-		s.fn, what, strings.Join(keys, ", "), filepath.Base(lockPos.Filename), lockPos.Line))
-}
-
-// lockOp recognizes <expr>.Lock/RLock/Unlock/RUnlock() on a sync mutex and
-// returns the mutex key and whether it acquires.
-func (s *lockScan) lockOp(e ast.Expr) (key string, locking, ok bool) {
-	call, isCall := ast.Unparen(e).(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
 	var locks bool
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
 		locks = true
 	case "Unlock", "RUnlock":
-		locks = false
 	default:
-		return "", false, false
+		return false
 	}
-	if !isMutexType(s.pkg.Info.TypeOf(sel.X)) {
-		return "", false, false
+	if !isMutexType(t.pkg.Info.TypeOf(sel.X)) {
+		return false
 	}
-	return exprKey(sel.X), locks, true
+	k, ok := t.c.key(sel.X)
+	switch {
+	case !ok || held == nil:
+	case locks:
+		t.c.locked(k, sel.X, call, held)
+		held[k] = call.Pos()
+	default:
+		delete(held, k)
+	}
+	return true
+}
+
+// lockReport is lockheld's client of the tracker: mutexes are keyed by
+// printed receiver expression, and blocking operations under a held mutex
+// are reported.
+type lockReport struct {
+	pkg   *Package
+	fn    string
+	diags []Diagnostic
+}
+
+func (r *lockReport) key(mutex ast.Expr) (string, bool) { return exprKey(mutex), true }
+
+func (r *lockReport) locked(string, ast.Expr, *ast.CallExpr, heldLocks[string]) {}
+
+// selectHeader reports a select without default as blocking. Only a select
+// with a default lets the pre-state join its clause outcomes.
+func (r *lockReport) selectHeader(sel *ast.SelectStmt, held heldLocks[string]) bool {
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	r.report(sel.Pos(), "select", held)
+	return false
+}
+
+func (r *lockReport) visit(n ast.Node, held heldLocks[string]) {
+	switch x := n.(type) {
+	case *ast.SendStmt:
+		r.report(x.Pos(), "channel send", held)
+	case *ast.RangeStmt:
+		if isChanType(r.pkg, x.X) {
+			r.report(x.Pos(), "range over channel", held)
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			r.report(x.Pos(), "channel receive", held)
+		}
+	case *ast.CallExpr:
+		if desc, ok := r.blockingCall(x); ok {
+			r.report(x.Pos(), desc, held)
+		}
+	}
+}
+
+func (r *lockReport) report(pos token.Pos, what string, held heldLocks[string]) {
+	if len(held) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(held))
+	for k := range held {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	lockPos := r.pkg.Fset.Position(held[keys[0]])
+	r.diags = append(r.diags, r.pkg.diag(pos, "lockheld",
+		"%s blocks on %s while holding %s (locked at %s:%d)",
+		r.fn, what, strings.Join(keys, ", "), filepath.Base(lockPos.Filename), lockPos.Line))
 }
 
 // blockingCall classifies a call as a blocking operation.
-func (s *lockScan) blockingCall(call *ast.CallExpr) (string, bool) {
-	fn := s.pkg.calleeFunc(call)
+func (r *lockReport) blockingCall(call *ast.CallExpr) (string, bool) {
+	fn := r.pkg.calleeFunc(call)
 	if fn == nil {
 		return "", false
 	}
@@ -342,7 +244,7 @@ func (s *lockScan) blockingCall(call *ast.CallExpr) (string, bool) {
 	if fn.Pkg() != nil {
 		pkgPath = fn.Pkg().Path()
 	}
-	recv := s.pkg.recvTypeOf(call)
+	recv := r.pkg.recvTypeOf(call)
 	if recv == nil {
 		// Package-level function.
 		if pkgPath == "time" && name == "Sleep" {

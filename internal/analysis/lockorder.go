@@ -13,8 +13,8 @@ import (
 // reports cycles: if one code path takes A then B and another takes B
 // then A, two goroutines can deadlock. Edges come from two sources:
 //
-//   - intraprocedural: B.Lock() reached while A is held (lockheld's
-//     sequential held-set model, replayed over lock identities), and
+//   - intraprocedural: B.Lock() reached while A is held (the held-lock
+//     tracker lockheld runs, keyed by lock identity), and
 //   - interprocedural: a call made while A is held, into a function whose
 //     transitive summary acquires B.
 //

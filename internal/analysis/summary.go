@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -31,9 +32,8 @@ type funcSummary struct {
 	// "unknown callee", never as "does nothing".
 	calls []callSite
 
-	// acquires maps each mutex this body locks (by field/var identity) to
-	// its first acquisition site.
-	acquires map[types.Object]lockSite
+	// acquires holds each mutex this body locks (by field/var identity).
+	acquires map[types.Object]bool
 	// pairs records "inner acquired while outer held" orderings observed
 	// inside this body.
 	pairs []lockPair
@@ -56,11 +56,6 @@ type funcSummary struct {
 type callSite struct {
 	callee *types.Func
 	call   *ast.CallExpr
-}
-
-type lockSite struct {
-	pos  token.Pos
-	name string // printed receiver expression, e.g. "c.mu"
 }
 
 type lockPair struct {
@@ -88,7 +83,7 @@ type pkgSummaries struct {
 	// lexically first acquisition's receiver expression).
 	lockNames map[types.Object]string
 
-	transMemo map[*types.Func]map[types.Object]lockSite
+	transMemo map[*types.Func]*map[types.Object]bool
 }
 
 // summaries builds (once) and returns the package's interprocedural facts.
@@ -104,7 +99,7 @@ func buildSummaries(p *Package) *pkgSummaries {
 		pkg:       p,
 		funcs:     map[*types.Func]*funcSummary{},
 		lockNames: map[types.Object]string{},
-		transMemo: map[*types.Func]map[types.Object]lockSite{},
+		transMemo: map[*types.Func]*map[types.Object]bool{},
 	}
 	ps.getBuf = ps.poolFunc("getBuf")
 	ps.putBuf = ps.poolFunc("putBuf")
@@ -115,7 +110,7 @@ func buildSummaries(p *Package) *pkgSummaries {
 			s := &funcSummary{
 				body:           sc.body,
 				name:           sc.name,
-				acquires:       map[types.Object]lockSite{},
+				acquires:       map[types.Object]bool{},
 				releasesParams: map[int]bool{},
 				endsParams:     map[int]bool{},
 			}
@@ -136,8 +131,7 @@ func buildSummaries(p *Package) *pkgSummaries {
 
 	// Pass 2: walk each body once collecting call sites and lock facts.
 	for _, s := range ps.order {
-		lt := &lockTracker{ps: ps, s: s}
-		lt.stmts(s.body.List, map[types.Object]token.Pos{})
+		walkLocks[types.Object](p, summaryLocks{ps, s}, s.body)
 	}
 
 	// Pass 3: fixpoints across the call graph.
@@ -370,31 +364,29 @@ func (ps *pkgSummaries) bodyHandsOff(s *funcSummary, v *types.Var, via func(*ast
 }
 
 // transitiveAcquires returns every lock fn can take, directly or through
-// same-package callees. Memoized; recursion is handled by seeding the memo
-// before descending (a cycle contributes what is known so far, and the
-// outer fixpoint structure of the DFS converges because lock sets only
-// grow along the first complete traversal).
-func (ps *pkgSummaries) transitiveAcquires(fn *types.Func) map[types.Object]lockSite {
-	if got, ok := ps.transMemo[fn]; ok {
-		return got
+// same-package callees.
+func (ps *pkgSummaries) transitiveAcquires(fn *types.Func) map[types.Object]bool {
+	return transitive(ps, ps.transMemo, fn,
+		func(s *funcSummary) map[types.Object]bool { return maps.Clone(s.acquires) },
+		func(acc *map[types.Object]bool, more map[types.Object]bool) { maps.Copy(*acc, more) })
+}
+
+// transitive folds own over fn and every same-package function it calls,
+// directly or not, combining with add. memo is seeded before descending,
+// so recursion terminates and a cycle contributes what is known so far.
+func transitive[T any](ps *pkgSummaries, memo map[*types.Func]*T, fn *types.Func, own func(*funcSummary) T, add func(*T, T)) T {
+	if got, ok := memo[fn]; ok {
+		return *got
 	}
-	out := map[types.Object]lockSite{}
-	ps.transMemo[fn] = out
-	s := ps.funcs[fn]
-	if s == nil {
-		return out
-	}
-	for obj, site := range s.acquires {
-		out[obj] = site
-	}
-	for _, cs := range s.calls {
-		for obj, site := range ps.transitiveAcquires(cs.callee) {
-			if _, ok := out[obj]; !ok {
-				out[obj] = site
-			}
+	acc := new(T)
+	memo[fn] = acc
+	if s := ps.funcs[fn]; s != nil {
+		*acc = own(s)
+		for _, cs := range s.calls {
+			add(acc, transitive(ps, memo, cs.callee, own, add))
 		}
 	}
-	return out
+	return *acc
 }
 
 // lockObject resolves a mutex receiver expression to its identity: the
@@ -415,251 +407,52 @@ func (p *Package) lockObject(e ast.Expr) types.Object {
 	return nil
 }
 
-// lockTracker walks one function body collecting lock facts and call
-// sites. It reuses lockheld's sequential model: branches run on cloned
-// held-sets, fall-through outcomes are unioned, terminating branches do
-// not leak state, deferred unlocks keep the mutex held to the end.
-type lockTracker struct {
+// summaryLocks is the summary builder's client of the held-lock tracker
+// (lockheld.go): mutexes are keyed by field or variable object, and
+// acquisitions, orderings and same-package call sites are recorded.
+type summaryLocks struct {
 	ps *pkgSummaries
 	s  *funcSummary
 }
 
-func lockClone(h map[types.Object]token.Pos) map[types.Object]token.Pos {
-	c := make(map[types.Object]token.Pos, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
+func (b summaryLocks) key(mutex ast.Expr) (types.Object, bool) {
+	obj := b.ps.pkg.lockObject(mutex)
+	return obj, obj != nil
 }
 
-func (lt *lockTracker) stmts(list []ast.Stmt, held map[types.Object]token.Pos) {
-	for _, st := range list {
-		lt.stmt(st, held)
+func (b summaryLocks) locked(obj types.Object, mutex ast.Expr, call *ast.CallExpr, held heldLocks[types.Object]) {
+	if _, ok := b.ps.lockNames[obj]; !ok {
+		b.ps.lockNames[obj] = exprKey(mutex)
 	}
-}
-
-func (lt *lockTracker) branch(list []ast.Stmt, held map[types.Object]token.Pos) (map[types.Object]token.Pos, bool) {
-	c := lockClone(held)
-	lt.stmts(list, c)
-	return c, terminates(list)
-}
-
-func lockMerge(held map[types.Object]token.Pos, outcomes []map[types.Object]token.Pos) {
-	for k := range held {
-		delete(held, k)
-	}
-	for _, o := range outcomes {
-		for k, v := range o {
-			held[k] = v
+	for outer := range held {
+		if outer != obj {
+			b.s.pairs = append(b.s.pairs, lockPair{outer: outer, inner: obj, pos: call.Pos()})
 		}
 	}
+	b.s.acquires[obj] = true
 }
 
-func (lt *lockTracker) stmt(st ast.Stmt, held map[types.Object]token.Pos) {
-	switch t := st.(type) {
-	case nil:
-	case *ast.ExprStmt:
-		if lt.lockOp(t.X, held) {
-			return
-		}
-		lt.expr(t.X, held)
-	case *ast.DeferStmt:
-		// Deferred unlocks keep the lock held to return; deferred calls
-		// still run as part of this function, so they stay in the call
-		// graph, but with an unknown held-set (empty here).
-		if !lt.lockOp(t.Call, nil) {
-			lt.expr(t.Call, nil)
-		}
-	case *ast.GoStmt:
-		// The spawned body runs on another goroutine: its calls are not
-		// this function's, and locks held here do not order against it.
-		// Arguments are still evaluated synchronously.
-		for _, a := range t.Call.Args {
-			lt.expr(a, held)
-		}
-	case *ast.SendStmt:
-		lt.expr(t.Chan, held)
-		lt.expr(t.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range t.Rhs {
-			lt.expr(e, held)
-		}
-		for _, e := range t.Lhs {
-			lt.expr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := t.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						lt.expr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			lt.expr(e, held)
-		}
-	case *ast.IncDecStmt:
-		lt.expr(t.X, held)
-	case *ast.LabeledStmt:
-		lt.stmt(t.Stmt, held)
-	case *ast.BlockStmt:
-		lt.stmts(t.List, held)
-	case *ast.IfStmt:
-		lt.stmt(t.Init, held)
-		lt.expr(t.Cond, held)
-		var outcomes []map[types.Object]token.Pos
-		thenHeld, thenTerm := lt.branch(t.Body.List, held)
-		if !thenTerm {
-			outcomes = append(outcomes, thenHeld)
-		}
-		if t.Else != nil {
-			elseHeld, elseTerm := lt.branch([]ast.Stmt{t.Else}, held)
-			if !elseTerm {
-				outcomes = append(outcomes, elseHeld)
-			}
-		} else {
-			outcomes = append(outcomes, lockClone(held))
-		}
-		if len(outcomes) > 0 {
-			lockMerge(held, outcomes)
-		}
-	case *ast.ForStmt:
-		lt.stmt(t.Init, held)
-		lt.expr(t.Cond, held)
-		body, term := lt.branch(t.Body.List, held)
-		lt.stmt(t.Post, lockClone(body))
-		outcomes := []map[types.Object]token.Pos{lockClone(held)}
-		if !term {
-			outcomes = append(outcomes, body)
-		}
-		lockMerge(held, outcomes)
-	case *ast.RangeStmt:
-		lt.expr(t.X, held)
-		body, term := lt.branch(t.Body.List, held)
-		outcomes := []map[types.Object]token.Pos{lockClone(held)}
-		if !term {
-			outcomes = append(outcomes, body)
-		}
-		lockMerge(held, outcomes)
-	case *ast.SwitchStmt:
-		lt.stmt(t.Init, held)
-		lt.expr(t.Tag, held)
-		lt.caseBodies(t.Body, held)
-	case *ast.TypeSwitchStmt:
-		lt.stmt(t.Init, held)
-		lt.stmt(t.Assign, held)
-		lt.caseBodies(t.Body, held)
-	case *ast.SelectStmt:
-		lt.caseBodies(t.Body, held)
-	}
-}
+// selectHeader lets the pre-state join every select's clause outcomes.
+func (summaryLocks) selectHeader(*ast.SelectStmt, heldLocks[types.Object]) bool { return true }
 
-func (lt *lockTracker) caseBodies(body *ast.BlockStmt, held map[types.Object]token.Pos) {
-	outcomes := []map[types.Object]token.Pos{lockClone(held)}
-	for _, c := range body.List {
-		var list []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			list = cc.Body
-		case *ast.CommClause:
-			list = cc.Body
-		default:
-			continue
-		}
-		out, term := lt.branch(list, held)
-		if !term {
-			outcomes = append(outcomes, out)
-		}
-	}
-	lockMerge(held, outcomes)
-}
-
-// lockOp recognizes <expr>.Lock/RLock/Unlock/RUnlock() on a sync mutex,
-// updates held, and records acquisition facts. held == nil means "apply
-// nothing" (deferred unlock).
-func (lt *lockTracker) lockOp(e ast.Expr, held map[types.Object]token.Pos) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
+// visit records each call to a declared same-package function, with the
+// locks held across it.
+func (b summaryLocks) visit(n ast.Node, held heldLocks[types.Object]) {
+	call, ok := n.(*ast.CallExpr)
 	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	var locks bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		locks = true
-	case "Unlock", "RUnlock":
-		locks = false
-	default:
-		return false
-	}
-	p := lt.ps.pkg
-	if !isMutexType(p.Info.TypeOf(sel.X)) {
-		return false
-	}
-	obj := p.lockObject(sel.X)
-	if obj == nil || held == nil {
-		return true
-	}
-	if locks {
-		name := exprKey(sel.X)
-		if _, ok := lt.ps.lockNames[obj]; !ok {
-			lt.ps.lockNames[obj] = name
-		}
-		for outer := range held {
-			if outer != obj {
-				lt.s.pairs = append(lt.s.pairs, lockPair{outer: outer, inner: obj, pos: call.Pos()})
-			}
-		}
-		if _, ok := held[obj]; !ok {
-			held[obj] = call.Pos()
-		}
-		if _, ok := lt.s.acquires[obj]; !ok {
-			lt.s.acquires[obj] = lockSite{pos: call.Pos(), name: name}
-		}
-	} else {
-		delete(held, obj)
-	}
-	return true
-}
-
-// expr scans an expression for same-package call sites, without
-// descending into function literals (they get their own summaries).
-func (lt *lockTracker) expr(e ast.Expr, held map[types.Object]token.Pos) {
-	if e == nil {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			lt.recordCall(call, held)
-		}
-		return true
-	})
-}
-
-func (lt *lockTracker) recordCall(call *ast.CallExpr, held map[types.Object]token.Pos) {
-	fn := lt.ps.pkg.calleeFunc(call)
-	if fn == nil {
+	fn := b.ps.pkg.calleeFunc(call)
+	if _, ok := b.ps.funcs[fn]; !ok {
 		return
 	}
-	if _, ok := lt.ps.funcs[fn]; !ok {
-		return // not a declared same-package function
-	}
-	lt.s.calls = append(lt.s.calls, callSite{callee: fn, call: call})
+	b.s.calls = append(b.s.calls, callSite{callee: fn, call: call})
 	if len(held) > 0 {
 		objs := make([]types.Object, 0, len(held))
 		for obj := range held {
 			objs = append(objs, obj)
 		}
 		sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-		lt.s.heldCalls = append(lt.s.heldCalls, heldCall{callee: fn, held: objs, pos: call.Pos()})
+		b.s.heldCalls = append(b.s.heldCalls, heldCall{callee: fn, held: objs, pos: call.Pos()})
 	}
 }

@@ -169,10 +169,10 @@ func funcDeclName(fn *ast.FuncDecl) string {
 	return "(" + recv + ")." + fn.Name.Name
 }
 
-// ownNodes walks the nodes of body that belong to this function, without
+// ownNodes walks the nodes of root that belong to its function, without
 // descending into nested function literals.
-func ownNodes(body *ast.BlockStmt, visit func(n ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func ownNodes(root ast.Node, visit func(n ast.Node) bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}

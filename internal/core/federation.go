@@ -232,8 +232,8 @@ type fedFile struct {
 	async     bool
 
 	mu      sync.Mutex
-	closed  bool                   // guarded by mu
-	handles map[handleKey]*srbFile // guarded by mu; lazily opened
+	closed  bool                   // guarded by mu; no replica is queued once set
+	handles map[handleKey]*srbFile // guarded by mu; lazily opened, nil once torn down
 
 	// Background replication state (async mode): repWG tracks trailing
 	// replica writes, repSem bounds them, repErr holds the first failure
@@ -249,12 +249,13 @@ var _ FaultReporter = (*fedFile)(nil)
 
 // getHandle returns the (server, slot) handle, opening it on first use.
 // The open happens outside the handle lock; a lost race closes the extra.
+// Handles stay available while Close drains the replica backlog.
 func (f *fedFile) getHandle(server string, slot int) (*srbFile, error) {
 	key := handleKey{server, slot}
 	f.mu.Lock()
-	if f.closed {
+	if f.handles == nil {
 		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: federated handle closed", srb.ErrInvalid)
+		return nil, errHandleClosed
 	}
 	if h, ok := f.handles[key]; ok {
 		f.mu.Unlock()
@@ -266,11 +267,11 @@ func (f *fedFile) getHandle(server string, slot int) (*srbFile, error) {
 		return nil, err
 	}
 	f.mu.Lock()
-	if f.closed {
+	if f.handles == nil {
 		f.mu.Unlock()
 		//lint:allow errdrop -- the handle raced Close; nothing to report
 		h.Close()
-		return nil, fmt.Errorf("%w: federated handle closed", srb.ErrInvalid)
+		return nil, errHandleClosed
 	}
 	if prev, ok := f.handles[key]; ok {
 		f.mu.Unlock()
@@ -318,7 +319,9 @@ func (f *fedFile) writeAll(writes []fedWrite) []opResult {
 		if f.async {
 			must = servers[:1]
 		}
-		acks[i] = make([]opResult, len(must))
+		// Room for a refused replica's ack too: appending one below must
+		// not move the acks the goroutines are writing through.
+		acks[i] = make([]opResult, len(must), len(servers))
 		for r, server := range must {
 			sem <- struct{}{}
 			wg.Add(1)
@@ -333,7 +336,9 @@ func (f *fedFile) writeAll(writes []fedWrite) []opResult {
 			}(&acks[i][r])
 		}
 		for _, server := range servers[len(must):] {
-			f.queueReplica(server, *w)
+			if err := f.queueReplica(server, *w); err != nil {
+				acks[i] = append(acks[i], opResult{err: err})
+			}
 		}
 	}
 	wg.Wait()
@@ -355,15 +360,24 @@ func (f *fedFile) writeAll(writes []fedWrite) []opResult {
 // bytes are copied — the caller owns its buffers again as soon as the
 // write call returns. Trailing writes of one call may reorder against
 // another in-flight call; overlapping writers that need ordering use sync
-// replication. The first failure is held for Sync/Close.
-func (f *fedFile) queueReplica(server string, w fedWrite) {
+// replication. The first failure is held for Sync/Close. Once Close has
+// begun it refuses with errHandleClosed: Close waits for the backlog, so
+// nothing may join it after that.
+func (f *fedFile) queueReplica(server string, w fedWrite) error {
 	vecs := make([]adio.Vec, len(w.vecs))
 	for i, v := range w.vecs {
 		vecs[i] = adio.Vec{Off: v.Off, Buf: append([]byte(nil), v.Buf...)}
 	}
 	w.vecs = vecs
 	f.repSem <- struct{}{}
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		<-f.repSem
+		return errHandleClosed
+	}
 	f.repWG.Add(1)
+	f.mu.Unlock()
 	go func() {
 		defer f.repWG.Done()
 		defer func() { <-f.repSem }()
@@ -380,6 +394,7 @@ func (f *fedFile) queueReplica(server string, w fedWrite) {
 			f.repMu.Unlock()
 		}
 	}()
+	return nil
 }
 
 // WriteAt implements adio.File, one write per stripe. On error the returned
@@ -552,13 +567,16 @@ func (f *fedFile) FaultStats() FaultStats {
 	return st
 }
 
-// Close implements adio.File: the async backlog drains, every slot handle
-// closes, and the first error — a held replication failure first — is
-// returned.
+// Close implements adio.File: no replica is queued from here on, the async
+// backlog drains (its writes still reach their slot handles), every slot
+// handle closes, and the first error — a held replication failure first —
+// is returned.
 func (f *fedFile) Close() error {
-	f.repWG.Wait()
 	f.mu.Lock()
 	f.closed = true
+	f.mu.Unlock()
+	f.repWG.Wait()
+	f.mu.Lock()
 	handles := f.handles
 	f.handles = nil
 	f.mu.Unlock()

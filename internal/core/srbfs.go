@@ -212,10 +212,11 @@ func (d *SRBFS) dialOpen(path string, flags int) (*srb.Conn, *srb.File, error) {
 // concurrent workers that observed the same dead connection perform only
 // one redial between them.
 type stream struct {
-	mu   sync.Mutex
-	gen  int       // guarded by mu
-	conn *srb.Conn // guarded by mu
-	file *srb.File // guarded by mu
+	mu     sync.Mutex
+	gen    int       // guarded by mu
+	conn   *srb.Conn // guarded by mu
+	file   *srb.File // guarded by mu
+	closed bool      // guarded by mu; set by Close, never cleared
 
 	// Trace counter names for this stream's traffic; immutable after Open.
 	// They are silent counters (aggregate only), so concurrent stripes on
@@ -224,16 +225,29 @@ type stream struct {
 	writeCtr string
 }
 
-// handle snapshots the stream's current file handle and generation.
-func (s *stream) handle() (*srb.File, int) {
+// handle snapshots the stream's current file handle and generation. With
+// no handle to give it reports why: errHandleClosed once Close tore the
+// stream down, errStreamDown while a reconnect is owed.
+func (s *stream) handle() (*srb.File, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.file, s.gen
+	switch {
+	case s.closed:
+		return nil, s.gen, errHandleClosed
+	case s.file == nil:
+		return nil, s.gen, errStreamDown
+	}
+	return s.file, s.gen, nil
 }
 
 // errStreamDown stands in for an op attempted while a stream has no live
 // connection (a previous reconnect attempt failed); it is retryable.
 var errStreamDown = errors.New("core: stream disconnected")
+
+// errHandleClosed is what an op on a closed SRBFS or FedFS handle returns,
+// however it raced Close. It wraps srb.ErrInvalid, so it is terminal: no
+// retry loop replays it.
+var errHandleClosed = fmt.Errorf("core: file handle closed: %w", srb.ErrInvalid)
 
 // errBudgetExhausted is terminal: the handle spent its reconnect budget.
 var errBudgetExhausted = errors.New("core: reconnect budget exhausted")
@@ -269,7 +283,7 @@ type srbFile struct {
 	path        string
 	reopenFlags int
 	stripe      int64
-	streams     []*stream
+	streams     []*stream // immutable after Open
 
 	mu     sync.Mutex
 	closed bool // guarded by mu
@@ -310,9 +324,9 @@ func (f *srbFile) retry(s *stream, try func(*srb.File) (int, error)) (n int, err
 	var gen int
 	attempts, err := f.fs.cfg.Retry.Do(func() (err error) {
 		var file *srb.File
-		if file, gen = s.handle(); file == nil {
+		if file, gen, err = s.handle(); err != nil {
 			n = 0
-			return errStreamDown
+			return err
 		}
 		n, err = try(file)
 		return err
@@ -322,6 +336,13 @@ func (f *srbFile) retry(s *stream, try func(*srb.File) (int, error)) (n int, err
 	if attempts > 1 && (err == nil || errors.Is(err, io.EOF)) {
 		f.retriedOps.Add(1)
 		f.tracer.Count("srbfs.retried_ops", 1)
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
+		if _, _, cerr := s.handle(); errors.Is(cerr, errHandleClosed) {
+			// The op raced Close: whatever cut it short (its connection
+			// closed, its server handle released), that is the outcome.
+			err = errHandleClosed
+		}
 	}
 	return n, err
 }
@@ -365,7 +386,7 @@ func (f *srbFile) recoverStream(s *stream, gen int) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return fmt.Errorf("%w: file closed during recovery", srb.ErrInvalid)
+		return errHandleClosed
 	}
 	if f.budget <= 0 {
 		f.mu.Unlock()
@@ -529,7 +550,7 @@ func (f *srbFile) Truncate(size int64) error {
 // Sync implements adio.File, syncing every stream.
 func (f *srbFile) Sync() error {
 	for _, s := range f.streams {
-		if file, _ := s.handle(); file == nil {
+		if _, _, err := s.handle(); errors.Is(err, errStreamDown) {
 			continue // a disconnected stream has nothing buffered; don't redial it to say so
 		}
 		if _, err := f.retry(s, func(file *srb.File) (int, error) { return 0, file.Sync() }); err != nil {
@@ -541,19 +562,18 @@ func (f *srbFile) Sync() error {
 
 // Close implements adio.File, closing every stream's file and connection.
 // It also retires the reconnect budget so no in-flight op redials a
-// stream after the handle is gone.
+// stream after the handle is gone. The stream set itself stays: an op
+// racing Close, one whose call Close cut short included, returns
+// errHandleClosed.
 func (f *srbFile) Close() error {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
 	var first error
 	for _, s := range f.streams {
-		if s == nil {
-			continue
-		}
 		s.mu.Lock()
 		file, conn := s.file, s.conn
-		s.file, s.conn = nil, nil
+		s.file, s.conn, s.closed = nil, nil, true
 		s.mu.Unlock()
 		if file != nil {
 			// The close RPC is best-effort on a dead transport: the
@@ -570,6 +590,5 @@ func (f *srbFile) Close() error {
 			}
 		}
 	}
-	f.streams = nil
 	return first
 }

@@ -332,22 +332,24 @@ func TestTerminalErrorNotRetried(t *testing.T) {
 
 func TestCloseDuringReconnectStopsRecovery(t *testing.T) {
 	// An op that keeps failing must stop redialing once the handle is
-	// closed, even mid-retry-loop.
+	// closed, even mid-retry-loop. Close lands once the first attempt has
+	// failed, inside the first backoff (80–120 ms), so the redial cannot
+	// finish first even on a loaded host.
 	pol := fastRetry()
-	pol.BaseBackoff = 10 * time.Millisecond
+	pol.BaseBackoff, pol.MaxBackoff = 100*time.Millisecond, 100*time.Millisecond
 	d, fs := faultFS(t, SRBFSConfig{Streams: 1, Retry: pol})
 	f, err := fs.Open("/closing", adio.O_RDWR|adio.O_CREATE, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.conn(0).FaultAfter(0, netsim.FaultClose)
+	fired := d.conn(0).FaultAfter(0, netsim.FaultClose)
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := f.WriteAt(make([]byte, 256<<10), 0)
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	<-fired
 	f.Close()
 	select {
 	case err := <-done:
