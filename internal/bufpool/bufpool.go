@@ -16,9 +16,15 @@ import (
 )
 
 // Pool hands out buffers from a fixed ladder of capacity classes.
+//
+// A sync.Pool holds a buffer as a *[]byte, so that storing it takes no
+// allocation of its own. The boxes travel too: Get empties the one its
+// buffer came in and parks it in holders, and Put refills a parked box
+// instead of allocating a new one, so a Get/Put pair allocates nothing.
 type Pool struct {
 	classes    []int
 	pools      []sync.Pool
+	holders    sync.Pool // empty *[]byte boxes
 	gets, puts atomic.Int64
 }
 
@@ -40,7 +46,10 @@ func New(classes ...int) *Pool {
 func (p *Pool) Get(n int) []byte {
 	for i, size := range p.classes {
 		if n <= size {
-			b := *p.pools[i].Get().(*[]byte)
+			h := p.pools[i].Get().(*[]byte)
+			b := *h
+			*h = nil
+			p.holders.Put(h)
 			p.gets.Add(1)
 			return b[:n]
 		}
@@ -57,8 +66,12 @@ func (p *Pool) Put(b []byte) {
 	c := cap(b)
 	for i, size := range p.classes {
 		if c == size {
-			b = b[:size]
-			p.pools[i].Put(&b)
+			h, _ := p.holders.Get().(*[]byte)
+			if h == nil {
+				h = new([]byte)
+			}
+			*h = b[:size]
+			p.pools[i].Put(h)
 			p.puts.Add(1)
 			return
 		}

@@ -35,3 +35,17 @@ func TestClassSelectionAndBalance(t *testing.T) {
 		t.Fatalf("recycled buffer: len %d cap %d", len(got), cap(got))
 	}
 }
+
+// TestGetPutAllocatesNothing: once warm, a Get/Put pair allocates nothing,
+// not even the *[]byte box sync.Pool stores a buffer in. The race detector
+// makes sync.Pool drop a random share of what is put, so the count means
+// nothing there.
+func TestGetPutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	p := New(16, 64)
+	if n := testing.AllocsPerRun(1000, func() { p.Put(p.Get(40)) }); n != 0 {
+		t.Fatalf("Get/Put pair allocates %v times, want 0", n)
+	}
+}

@@ -5,10 +5,11 @@ import "semplar/internal/bufpool"
 // Payload buffer pooling. Every request and response that carries data used
 // to pay one make([]byte, dataLen) on the read side of the wire — at small
 // op sizes under pipelining that allocation (and the GC pressure behind it)
-// dominates the per-op cost. The wire parsers allocate from the pool; the
-// hot paths (the server's per-request loop, the client's ReadAt/Read
-// copy-out) release. Paths that retain decoded data (List, Stat, GetAttr —
-// all of which copy into strings) simply never release.
+// dominates the per-op cost. The wire parsers allocate from the pool and
+// the server's per-request loop releases. The client's data replies take
+// no buffer at all: readLoop reads them straight into the caller's slices.
+// Paths that retain decoded data (List, Stat, GetAttr — all of which copy
+// into strings) simply never release.
 //
 // The largest class is MaxChunk: no wire payload exceeds it.
 var payloadPool = bufpool.New(4<<10, 64<<10, 1<<20, MaxChunk)

@@ -2,6 +2,7 @@ package srb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,27 +45,74 @@ type Conn struct {
 //
 // Completion is a race between three parties — the demux loop (response
 // arrived), the op-deadline watchdog (timer fired), and fail (transport
-// died) — resolved by the claimed CAS: exactly one winner writes resp/err
-// and closes done. The losers' outcomes are discarded, which is precisely
-// the fix for the old watchdog bug where a timer firing after the response
-// was already read still severed a healthy connection.
+// died) — resolved by CAS on state: exactly one party leaves callWaiting.
+// The losers' outcomes are discarded, which is precisely the fix for the
+// old watchdog bug where a timer firing after the response was already
+// read still severed a healthy connection.
+//
+// A data call names dst, the caller's buffers, and readLoop reads the
+// payload straight into them. That write must not outlive the call, so
+// the rule is: a call returns only after readLoop has finished with its
+// destination. readLoop claims the call (callReceiving) after the header
+// and before the first payload byte; from then on it alone closes done.
+// The watchdog can still expire a receiving call: it marks it and severs
+// the connection, the stalled read fails, and readLoop releases the call,
+// which reports ErrTimeout. fail does not see a receiving call at all —
+// it left pending at the claim — so a Close mid-payload also completes
+// through readLoop, with the connection's sticky error.
 type pendingCall struct {
-	done    chan struct{}
-	claimed atomic.Bool
-	resp    *response // written only by the claimed winner, before close(done)
-	err     error     // written only by the claimed winner, before close(done)
+	done  chan struct{}
+	state atomic.Int32
+	dst   [][]byte // the payload's destination; nil: a pooled resp.data
+	resp  response // written only by the settling party, before close(done)
+	err   error    // written only by the settling party, before close(done)
 }
 
-// complete delivers the call's outcome if no other party has; it reports
-// whether this caller won the claim.
-func (pc *pendingCall) complete(resp *response, err error) bool {
-	if !pc.claimed.CompareAndSwap(false, true) {
-		return false
+// pendingCall states.
+const (
+	callWaiting   int32 = iota // sent or sending; no party has claimed it
+	callReceiving              // readLoop holds it and is reading its reply
+	callDone                   // outcome in resp/err
+	callExpired                // the watchdog's deadline passed; ErrTimeout
+)
+
+// claim is readLoop's move once a reply's header names the call: it takes
+// the call for receiving unless the watchdog expired it first.
+func (pc *pendingCall) claim() bool {
+	return pc.state.CompareAndSwap(callWaiting, callReceiving)
+}
+
+// complete delivers the outcome of a call nobody has claimed yet: fail's
+// orphans.
+func (pc *pendingCall) complete(err error) {
+	if pc.state.CompareAndSwap(callWaiting, callDone) {
+		pc.err = err
+		close(pc.done)
 	}
-	pc.resp = resp
-	pc.err = err
+}
+
+// finish ends readLoop's claim: it delivers the outcome, unless the
+// watchdog expired the call meanwhile, and releases the caller either way.
+func (pc *pendingCall) finish(resp *response, err error) {
+	if pc.state.CompareAndSwap(callReceiving, callDone) {
+		if resp != nil {
+			pc.resp = *resp
+		}
+		pc.err = err
+	}
 	close(pc.done)
-	return true
+}
+
+// expire is the watchdog's move; it reports whether the connection must be
+// severed. A waiting call is released at once. A call whose reply
+// readLoop is receiving is only marked: readLoop releases it when the
+// severed connection fails its read. A settled call is left alone.
+func (pc *pendingCall) expire() bool {
+	if pc.state.CompareAndSwap(callWaiting, callExpired) {
+		close(pc.done)
+		return true
+	}
+	return pc.state.CompareAndSwap(callReceiving, callExpired)
 }
 
 // Credentials identifies a tenant to a multi-tenant server. The key never
@@ -103,7 +151,7 @@ func NewConnAuth(c net.Conn, user string, cred Credentials) (*Conn, error) {
 	if !cred.Anonymous() {
 		connect.data = encodeAuth(cred.TenantID, tenant.Proof(cred.Key, cred.TenantID, user))
 	}
-	resp, err := conn.call(connect)
+	resp, err := conn.call(connect, nil)
 	if err != nil {
 		//lint:allow errdrop -- discarding the transport on a failed handshake; the handshake error is returned
 		c.Close()
@@ -128,6 +176,10 @@ func Dial(addr, user string) (*Conn, error) {
 
 // ErrConnClosed is returned for calls on a closed client connection.
 var ErrConnClosed = fmt.Errorf("srb: connection closed")
+
+// errWatchdogSevered is the failure of a connection the op-deadline
+// watchdog cut.
+var errWatchdogSevered = fmt.Errorf("%w: connection severed by op-deadline watchdog", ErrTransport)
 
 // Close terminates the connection. In-flight calls fail with ErrConnClosed
 // (or the earlier sticky error if the connection had already failed). fail
@@ -179,8 +231,15 @@ func (c *Conn) fail(err error) {
 	c.pending = make(map[uint32]*pendingCall)
 	c.mu.Unlock()
 	for _, pc := range orphans {
-		pc.complete(nil, err)
+		pc.complete(err)
 	}
+}
+
+// sticky returns the connection's first failure.
+func (c *Conn) sticky() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // readLoop is the demux half of pipelining. It owns br: it reads responses
@@ -188,27 +247,48 @@ func (c *Conn) fail(err error) {
 // tag, in whatever order the tags come back. It exits when the transport
 // fails, failing every in-flight call with a classifiable transport error.
 func (c *Conn) readLoop() {
-	for {
-		resp, err := readResponse(c.br)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
-			return
-		}
-		c.mu.Lock()
-		pc := c.pending[resp.seq]
-		delete(c.pending, resp.seq)
-		c.mu.Unlock()
-		if pc == nil {
-			// A tag nothing is waiting for. Either the server invented a
-			// response or this conn's framing drifted; the stream cannot
-			// be trusted past this point. (A late answer to a timed-out
-			// call also lands here, but the watchdog already severed the
-			// conn then, so this fail is a no-op.)
-			c.fail(fmt.Errorf("%w: response for unknown seq %d", ErrProtocol, resp.seq))
-			return
-		}
-		pc.complete(resp, nil)
+	for c.receive() {
 	}
+}
+
+// receive reads one response: the header, which names the call, then the
+// msg and payload, straight into the call's destination. It reports
+// whether the connection is still healthy.
+func (c *Conn) receive() bool {
+	resp, msgLen, err := readResponseHeader(c.br)
+	if err != nil {
+		c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
+		return false
+	}
+	c.mu.Lock()
+	pc := c.pending[resp.seq]
+	delete(c.pending, resp.seq)
+	c.mu.Unlock()
+	if pc == nil {
+		// A tag nothing is waiting for. Either the server invented a
+		// response or this conn's framing drifted; the stream cannot be
+		// trusted past this point. (A late answer to a timed-out call also
+		// lands here, but the watchdog already severed the conn then, so
+		// this fail is a no-op.)
+		c.fail(fmt.Errorf("%w: response for unknown seq %d", ErrProtocol, resp.seq))
+		return false
+	}
+	if !pc.claim() {
+		// The watchdog expired the call and is severing the connection;
+		// its caller may have returned, so the payload has no destination.
+		_, err := c.br.Discard(msgLen + resp.dataLen)
+		return err == nil
+	}
+	if resp.msg, resp.data, err = readResponseBody(c.br, msgLen, resp.dataLen, pc.dst); err != nil {
+		if !errors.Is(err, ErrProtocol) {
+			err = fmt.Errorf("%w: %v", ErrTransport, err)
+		}
+		c.fail(err)
+		pc.finish(nil, c.sticky())
+		return false
+	}
+	pc.finish(&resp, nil)
+	return true
 }
 
 // validateRequest applies the wire bounds client-side, before a frame is
@@ -220,15 +300,15 @@ func validateRequest(req *request) error {
 	if len(req.path) > maxPathLen {
 		return fmt.Errorf("%w: path length %d exceeds max %d", ErrInvalid, len(req.path), maxPathLen)
 	}
-	if len(req.data) > MaxChunk {
-		return fmt.Errorf("%w: request payload %d exceeds max %d", ErrInvalid, len(req.data), MaxChunk)
+	if n := req.dataLen(); n > MaxChunk {
+		return fmt.Errorf("%w: request payload %d exceeds max %d", ErrInvalid, n, MaxChunk)
 	}
 	return nil
 }
 
 // register assigns the request's tag and parks a pendingCall for the demux
 // loop, snapshotting the tracer and deadline under mu.
-func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.Duration, error) {
+func (c *Conn) register(req *request, dst [][]byte) (*pendingCall, *trace.Tracer, int64, time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -246,21 +326,23 @@ func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.
 		}
 	}
 	req.seq = c.seq
-	pc := &pendingCall{done: make(chan struct{})}
+	pc := &pendingCall{done: make(chan struct{}), dst: dst}
 	c.pending[req.seq] = pc
 	return pc, c.tr, c.lane, c.timeout, nil
 }
 
 // call sends one tagged request and waits for its response. Concurrent
 // callers pipeline: each holds wmu only for its own frame, then blocks on
-// its own pendingCall while others use the wire. Returned errors
-// distinguish transport failures (sticky, retryable on a fresh connection)
-// from server status errors (terminal).
-func (c *Conn) call(req *request) (*response, error) {
+// its own pendingCall while others use the wire. A data call passes dst,
+// the buffers its payload is read into, front to back (resp.dataLen bytes
+// of them); any other call passes nil and gets the payload in resp.data.
+// Returned errors distinguish transport failures (sticky, retryable on a
+// fresh connection) from server status errors (terminal).
+func (c *Conn) call(req *request, dst [][]byte) (*response, error) {
 	if err := validateRequest(req); err != nil {
 		return nil, err
 	}
-	pc, tr, lane, timeout, err := c.register(req)
+	pc, tr, lane, timeout, err := c.register(req, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -275,13 +357,13 @@ func (c *Conn) call(req *request) (*response, error) {
 	}
 	if timeout > 0 {
 		// Watchdog, armed before the send so a write stalled on a
-		// black-holed stream is bounded too. Claim-then-sever: if the
+		// black-holed stream is bounded too. Expire-then-sever: if the
 		// response wins the race, the CAS loses and the healthy
 		// connection survives — the watchdog only kills a connection
 		// whose call it actually failed.
 		timer := time.AfterFunc(timeout, func() {
-			if pc.complete(nil, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(req.op), req.seq)) {
-				c.fail(fmt.Errorf("%w: connection severed by op-deadline watchdog", ErrTransport))
+			if pc.expire() {
+				c.fail(errWatchdogSevered)
 			}
 		})
 		defer timer.Stop()
@@ -303,18 +385,24 @@ func (c *Conn) call(req *request) (*response, error) {
 	if traced {
 		tr.Observe("srb.client.op", sp.End(trace.Int("seq", int64(req.seq))))
 	}
+	if pc.state.Load() == callExpired {
+		// The watchdog releases a waiting call before it severs; sever
+		// here too, so no caller sees the connection live after a timeout.
+		c.fail(errWatchdogSevered)
+		return nil, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(req.op), req.seq)
+	}
 	if pc.err != nil {
 		return nil, pc.err
 	}
 	if pc.resp.status != statusOK {
 		return nil, statusToErr(pc.resp.status, pc.resp.msg, pc.resp.value)
 	}
-	return pc.resp, nil
+	return &pc.resp, nil
 }
 
 // Ping round-trips a no-op request and returns the server's clock.
 func (c *Conn) Ping() (int64, error) {
-	resp, err := c.call(&request{op: opPing})
+	resp, err := c.call(&request{op: opPing}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -328,7 +416,7 @@ func (c *Conn) Open(path string, flags int, resource string) (*File, error) {
 	if resource != "" {
 		req.data = []byte(resource)
 	}
-	resp, err := c.call(req)
+	resp, err := c.call(req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +425,7 @@ func (c *Conn) Open(path string, flags int, resource string) (*File, error) {
 
 // Stat queries a logical path.
 func (c *Conn) Stat(path string) (*FileInfo, error) {
-	resp, err := c.call(&request{op: opStat, path: path})
+	resp, err := c.call(&request{op: opStat, path: path}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -347,25 +435,25 @@ func (c *Conn) Stat(path string) (*FileInfo, error) {
 
 // Mkdir creates a collection.
 func (c *Conn) Mkdir(path string) error {
-	_, err := c.call(&request{op: opMkdir, path: path})
+	_, err := c.call(&request{op: opMkdir, path: path}, nil)
 	return err
 }
 
 // Rmdir removes an empty collection.
 func (c *Conn) Rmdir(path string) error {
-	_, err := c.call(&request{op: opRmdir, path: path})
+	_, err := c.call(&request{op: opRmdir, path: path}, nil)
 	return err
 }
 
 // Unlink removes a logical file and its physical object.
 func (c *Conn) Unlink(path string) error {
-	_, err := c.call(&request{op: opUnlink, path: path})
+	_, err := c.call(&request{op: opUnlink, path: path}, nil)
 	return err
 }
 
 // List returns the entries of a collection.
 func (c *Conn) List(path string) ([]*FileInfo, error) {
-	resp, err := c.call(&request{op: opList, path: path})
+	resp, err := c.call(&request{op: opList, path: path}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -393,13 +481,13 @@ func (c *Conn) SetAttr(path, key, value string) error {
 	data = append(data, key...)
 	data = append(data, 0)
 	data = append(data, value...)
-	_, err := c.call(&request{op: opSetAttr, path: path, data: data})
+	_, err := c.call(&request{op: opSetAttr, path: path, data: data}, nil)
 	return err
 }
 
 // GetAttr reads a metadata attribute.
 func (c *Conn) GetAttr(path, key string) (string, error) {
-	resp, err := c.call(&request{op: opGetAttr, path: path, data: []byte(key)})
+	resp, err := c.call(&request{op: opGetAttr, path: path, data: []byte(key)}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -408,7 +496,7 @@ func (c *Conn) GetAttr(path, key string) (string, error) {
 
 // Rename moves a logical file.
 func (c *Conn) Rename(oldPath, newPath string) error {
-	_, err := c.call(&request{op: opRename, path: oldPath, data: []byte(newPath)})
+	_, err := c.call(&request{op: opRename, path: oldPath, data: []byte(newPath)}, nil)
 	return err
 }
 
@@ -416,7 +504,7 @@ func (c *Conn) Rename(oldPath, newPath string) error {
 // registers the replica in the catalog; reads fail over to replicas when
 // the primary copy is unavailable. Returns the replicated byte count.
 func (c *Conn) Replicate(path, resource string) (int64, error) {
-	resp, err := c.call(&request{op: opReplicate, path: path, data: []byte(resource)})
+	resp, err := c.call(&request{op: opReplicate, path: path, data: []byte(resource)}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -427,7 +515,7 @@ func (c *Conn) Replicate(path, resource string) (int64, error) {
 // (hex-encoded) without transferring the bytes, recording it as the
 // "checksum" attribute. Returns the digest and the object size.
 func (c *Conn) Checksum(path string) (string, int64, error) {
-	resp, err := c.call(&request{op: opChecksum, path: path})
+	resp, err := c.call(&request{op: opChecksum, path: path}, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -436,7 +524,7 @@ func (c *Conn) Checksum(path string) (string, int64, error) {
 
 // Resources lists the server's storage resources as name/kind pairs.
 func (c *Conn) Resources() (map[string]string, error) {
-	resp, err := c.call(&request{op: opResources})
+	resp, err := c.call(&request{op: opResources}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -472,30 +560,26 @@ func (f *File) Path() string { return f.path }
 
 // Close releases the remote handle.
 func (f *File) Close() error {
-	_, err := f.conn.call(&request{op: opClose, handle: f.handle})
+	_, err := f.conn.call(&request{op: opClose, handle: f.handle}, nil)
 	return err
 }
 
 // ReadAt reads len(p) bytes at an explicit offset, splitting large reads
-// into protocol chunks. It returns io.EOF after reading past end of file.
+// into protocol chunks, each read straight into p. It returns io.EOF after
+// reading past end of file.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
-		n := len(p) - total
-		if n > MaxChunk {
-			n = MaxChunk
-		}
+		n := min(len(p)-total, MaxChunk)
 		resp, err := f.conn.call(&request{
 			op: opRead, handle: f.handle,
 			offset: off + int64(total), length: int64(n),
-		})
+		}, [][]byte{p[total : total+n]})
 		if err != nil {
 			return total, err
 		}
-		got := copy(p[total:], resp.data)
-		putBuf(resp.data) // hot path: payload copied out, recycle the buffer
-		total += got
-		if got < n {
+		total += resp.dataLen
+		if resp.dataLen < n {
 			return total, io.EOF
 		}
 	}
@@ -513,7 +597,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		resp, err := f.conn.call(&request{
 			op: opWrite, handle: f.handle,
 			offset: off + int64(total), data: p[total : total+n],
-		})
+		}, nil)
 		if err != nil {
 			return total, err
 		}
@@ -537,8 +621,9 @@ type WriteSeg struct {
 // discontiguous extents per round trip instead of one RPC per extent,
 // which is what makes fine-grained striped writes affordable over a
 // high-latency link. Segments are packed greedily into frames bounded by
-// MaxChunk. Returns the total byte count acknowledged by the server; a
-// frame acknowledged short surfaces io.ErrShortWrite, like WriteAt.
+// MaxChunk, and each frame sends them from the caller's buffers. Returns
+// the total byte count acknowledged by the server; a frame acknowledged
+// short surfaces io.ErrShortWrite, like WriteAt.
 //
 // The operation is idempotent (each segment is an absolute-offset write),
 // so a transport failure mid-vector may be replayed on a fresh connection.
@@ -550,12 +635,12 @@ func (f *File) WriteAtVec(segs []WriteSeg) (int, error) {
 		if len(frame) == 0 {
 			return 0, nil
 		}
-		payload := encodeWritev(frame)
+		table := encodeWritev(frame)
 		want := frameBytes
+		resp, err := f.conn.call(&request{op: opWritev, handle: f.handle, data: table, tail: frame}, nil)
+		putBuf(table) // frame is on the wire (or dead); recycle
 		frame = frame[:0]
 		frameBytes = 0
-		resp, err := f.conn.call(&request{op: opWritev, handle: f.handle, data: payload})
-		putBuf(payload) // frame is on the wire (or dead); recycle
 		if err != nil {
 			return 0, err
 		}
@@ -613,8 +698,8 @@ type ReadSeg struct {
 // list-I/O half of the noncontiguous fast path. Ranges are packed greedily
 // into frames bounded by MaxChunk of reply payload. The server fills ranges
 // front to back and stops at the first short one, so the reply scatters
-// sequentially; a short reply surfaces io.EOF with the contiguous prefix
-// count, like ReadAt.
+// sequentially, straight into the ranges' buffers; a short reply surfaces
+// io.EOF with the contiguous prefix count, like ReadAt.
 func (f *File) ReadAtVec(segs []ReadSeg) (int, error) {
 	total := 0
 	frame := make([]readSeg, 0, len(segs))
@@ -626,27 +711,18 @@ func (f *File) ReadAtVec(segs []ReadSeg) (int, error) {
 		}
 		payload := encodeReadv(frame)
 		want := frameBytes
-		out := dsts
+		resp, err := f.conn.call(&request{op: opReadv, handle: f.handle, data: payload}, dsts)
+		putBuf(payload) // frame is on the wire (or dead); recycle
 		frame = frame[:0]
 		dsts = dsts[:0]
 		frameBytes = 0
-		resp, err := f.conn.call(&request{op: opReadv, handle: f.handle, data: payload})
-		putBuf(payload) // frame is on the wire (or dead); recycle
 		if err != nil {
 			return 0, err
 		}
-		got := 0
-		for _, d := range out {
-			if got == len(resp.data) {
-				break
-			}
-			got += copy(d, resp.data[got:])
+		if resp.dataLen < want {
+			return resp.dataLen, io.EOF
 		}
-		putBuf(resp.data) // payload scattered out, recycle the buffer
-		if got < want {
-			return got, io.EOF
-		}
-		return got, nil
+		return resp.dataLen, nil
 	}
 	for _, s := range segs {
 		if len(s.Buf) == 0 {
@@ -701,14 +777,12 @@ func (f *File) Read(p []byte) (int, error) {
 		}
 		resp, err := f.conn.call(&request{
 			op: opRead, handle: f.handle, offset: -1, length: int64(n),
-		})
+		}, [][]byte{p[total : total+n]})
 		if err != nil {
 			return total, err
 		}
-		got := copy(p[total:], resp.data)
-		putBuf(resp.data) // hot path: payload copied out, recycle the buffer
-		total += got
-		if got < n {
+		total += resp.dataLen
+		if resp.dataLen < n {
 			if total == 0 {
 				return 0, io.EOF
 			}
@@ -730,7 +804,7 @@ func (f *File) Write(p []byte) (int, error) {
 		}
 		resp, err := f.conn.call(&request{
 			op: opWrite, handle: f.handle, offset: -1, data: p[total : total+n],
-		})
+		}, nil)
 		if err != nil {
 			return total, err
 		}
@@ -748,7 +822,7 @@ func (f *File) Write(p []byte) (int, error) {
 func (f *File) Seek(offset int64, whence int) (int64, error) {
 	resp, err := f.conn.call(&request{
 		op: opSeek, handle: f.handle, offset: offset, flags: uint32(whence),
-	})
+	}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -757,7 +831,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Stat queries the open file.
 func (f *File) Stat() (*FileInfo, error) {
-	resp, err := f.conn.call(&request{op: opFstat, handle: f.handle})
+	resp, err := f.conn.call(&request{op: opFstat, handle: f.handle}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -776,12 +850,12 @@ func (f *File) Size() (int64, error) {
 
 // Truncate sets the file length.
 func (f *File) Truncate(size int64) error {
-	_, err := f.conn.call(&request{op: opTruncate, handle: f.handle, length: size})
+	_, err := f.conn.call(&request{op: opTruncate, handle: f.handle, length: size}, nil)
 	return err
 }
 
 // Sync flushes the file on the server.
 func (f *File) Sync() error {
-	_, err := f.conn.call(&request{op: opSync, handle: f.handle})
+	_, err := f.conn.call(&request{op: opSync, handle: f.handle}, nil)
 	return err
 }

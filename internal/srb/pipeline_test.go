@@ -316,19 +316,39 @@ func TestTimeoutClassificationNotSticky(t *testing.T) {
 }
 
 // TestWatchdogLosesRaceToResponse pins the claim semantics that fix the
-// watchdog-after-response race: once a response has claimed the call, a
-// late-firing timer must not complete it again (and therefore never severs
-// the connection).
+// watchdog-after-response race: once a response has settled the call, a
+// late-firing timer must not expire it (and therefore never severs the
+// connection). Expiring mid-payload is the other order: the outcome
+// readLoop then delivers is dropped, and the call reports a timeout.
 func TestWatchdogLosesRaceToResponse(t *testing.T) {
 	pc := &pendingCall{done: make(chan struct{})}
-	if !pc.complete(&response{value: 42}, nil) {
-		t.Fatal("first completion rejected")
+	if !pc.claim() {
+		t.Fatal("readLoop's claim rejected")
 	}
-	if pc.complete(nil, ErrTimeout) {
-		t.Fatal("second completion (the watchdog) won a settled call")
+	pc.finish(&response{value: 42}, nil)
+	if pc.expire() {
+		t.Fatal("the watchdog expired a settled call")
 	}
-	if pc.err != nil || pc.resp.value != 42 {
-		t.Fatalf("settled outcome overwritten: %v %v", pc.resp, pc.err)
+	if pc.state.Load() != callDone || pc.err != nil || pc.resp.value != 42 {
+		t.Fatalf("settled outcome overwritten: state %d, %+v, %v", pc.state.Load(), pc.resp, pc.err)
+	}
+
+	pc = &pendingCall{done: make(chan struct{})}
+	if !pc.claim() {
+		t.Fatal("readLoop's claim rejected")
+	}
+	if !pc.expire() {
+		t.Fatal("the watchdog could not expire a call stalled mid-payload")
+	}
+	select {
+	case <-pc.done:
+		t.Fatal("the watchdog released a call readLoop still holds")
+	default:
+	}
+	pc.finish(&response{value: 42}, nil)
+	<-pc.done
+	if pc.state.Load() != callExpired || pc.resp.value != 0 {
+		t.Fatalf("expired call took readLoop's outcome: state %d, %+v", pc.state.Load(), pc.resp)
 	}
 }
 
@@ -647,7 +667,7 @@ func TestWritevMalformedVectorIsStatusError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = conn.call(&request{op: opWritev, handle: f.handle, data: []byte{0xff, 0xff}})
+	_, err = conn.call(&request{op: opWritev, handle: f.handle, data: []byte{0xff, 0xff}}, nil)
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("malformed vector error = %v, want ErrInvalid", err)
 	}

@@ -9,6 +9,7 @@
 package srb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -332,11 +333,39 @@ type request struct {
 	length int64
 	path   string
 	data   []byte
+	// tail is sent after data as the rest of the payload, each segment's
+	// bytes straight from the caller's buffer: an opWritev frame is its
+	// segment table (data) followed by the segments. The parser never sets
+	// it; a received payload is all in data.
+	tail []writeSeg
 }
 
-func writeRequest(w io.Writer, r *request) error {
-	if len(r.data) > MaxChunk {
-		return fmt.Errorf("%w: request payload %d exceeds max %d", ErrInvalid, len(r.data), MaxChunk)
+// dataLen is the payload length on the wire: data, then every tail segment.
+func (r *request) dataLen() int {
+	n := len(r.data)
+	for _, s := range r.tail {
+		n += len(s.data)
+	}
+	return n
+}
+
+// frameWriter is a buffered sink that lends its free space, so a frame
+// header is appended in place rather than built in an array that escapes
+// through io.Writer, one allocation per frame. *bufio.Writer and
+// *bytes.Buffer both qualify.
+type frameWriter interface {
+	io.Writer
+	io.StringWriter
+	AvailableBuffer() []byte
+}
+
+// writeRequest writes one request frame. Payload bytes go through w as
+// they are: a segment too large for w's free space bypasses the buffer,
+// smaller ones coalesce in it.
+func writeRequest(w frameWriter, r *request) error {
+	dataLen := r.dataLen()
+	if dataLen > MaxChunk {
+		return fmt.Errorf("%w: request payload %d exceeds max %d", ErrInvalid, dataLen, MaxChunk)
 	}
 	if len(r.path) > maxPathLen {
 		// Symmetric with the data-length check: the peer's parser would
@@ -344,22 +373,20 @@ func writeRequest(w io.Writer, r *request) error {
 		// before a byte hits the wire and keep the connection healthy.
 		return fmt.Errorf("%w: path length %d exceeds max %d", ErrInvalid, len(r.path), maxPathLen)
 	}
-	var hdr [reqHeaderSize]byte
-	binary.BigEndian.PutUint16(hdr[0:], reqMagic)
-	hdr[2] = protoVer
-	hdr[3] = r.op
-	binary.BigEndian.PutUint32(hdr[4:], r.seq)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(r.handle))
-	binary.BigEndian.PutUint32(hdr[12:], r.flags)
-	binary.BigEndian.PutUint64(hdr[16:], uint64(r.offset))
-	binary.BigEndian.PutUint64(hdr[24:], uint64(r.length))
-	binary.BigEndian.PutUint32(hdr[32:], uint32(len(r.path)))
-	binary.BigEndian.PutUint32(hdr[36:], uint32(len(r.data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint16(w.AvailableBuffer(), reqMagic)
+	hdr = append(hdr, protoVer, r.op)
+	hdr = binary.BigEndian.AppendUint32(hdr, r.seq)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(r.handle))
+	hdr = binary.BigEndian.AppendUint32(hdr, r.flags)
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(r.offset))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(r.length))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(r.path)))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(dataLen))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(r.path) > 0 {
-		if _, err := io.WriteString(w, r.path); err != nil {
+		if _, err := w.WriteString(r.path); err != nil {
 			return err
 		}
 	}
@@ -368,12 +395,29 @@ func writeRequest(w io.Writer, r *request) error {
 			return err
 		}
 	}
+	for _, s := range r.tail {
+		if _, err := w.Write(s.data); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-func readRequest(r io.Reader) (*request, error) {
-	var hdr [reqHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// peekHeader returns the next n bytes of r from r's own buffer, so reading
+// a frame header allocates nothing; the caller parses them, then discards
+// them. A stream that ends inside the header reports io.ErrUnexpectedEOF,
+// as io.ReadFull would.
+func peekHeader(r *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := r.Peek(n)
+	if err == io.EOF && len(hdr) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return hdr, err
+}
+
+func readRequest(r *bufio.Reader) (*request, error) {
+	hdr, err := peekHeader(r, reqHeaderSize)
+	if err != nil {
 		return nil, err
 	}
 	if binary.BigEndian.Uint16(hdr[0:]) != reqMagic {
@@ -394,6 +438,9 @@ func readRequest(r io.Reader) (*request, error) {
 	dataLen := binary.BigEndian.Uint32(hdr[36:])
 	if pathLen > maxPathLen || dataLen > MaxChunk {
 		return nil, fmt.Errorf("%w: oversized request (path %d, data %d)", ErrProtocol, pathLen, dataLen)
+	}
+	if _, err := r.Discard(reqHeaderSize); err != nil {
+		return nil, err
 	}
 	if pathLen > 0 {
 		pb := getBuf(int(pathLen))
@@ -432,10 +479,13 @@ type response struct {
 	status int32
 	value  int64
 	msg    string
-	data   []byte
+	data   []byte // the payload, unless it was read into the caller's buffers
+	// dataLen is the payload length on the wire, wherever the payload
+	// went; writeResponse sends len(data) instead.
+	dataLen int
 }
 
-func writeResponse(w io.Writer, resp *response) error {
+func writeResponse(w frameWriter, resp *response) error {
 	msg := resp.msg
 	if len(msg) > maxMsgLen {
 		// An err.Error() of any length can land here (statusIO carries
@@ -445,18 +495,18 @@ func writeResponse(w io.Writer, resp *response) error {
 		// connection.
 		msg = msg[:maxMsgLen]
 	}
-	var hdr [respHeaderSize]byte
-	binary.BigEndian.PutUint16(hdr[0:], respMagic)
-	binary.BigEndian.PutUint32(hdr[4:], resp.seq)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(resp.status))
-	binary.BigEndian.PutUint64(hdr[12:], uint64(resp.value))
-	binary.BigEndian.PutUint32(hdr[20:], uint32(len(msg)))
-	binary.BigEndian.PutUint32(hdr[24:], uint32(len(resp.data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint16(w.AvailableBuffer(), respMagic)
+	hdr = append(hdr, 0, 0)
+	hdr = binary.BigEndian.AppendUint32(hdr, resp.seq)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(resp.status))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(resp.value))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(msg)))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(resp.data)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(msg) > 0 {
-		if _, err := io.WriteString(w, msg); err != nil {
+		if _, err := w.WriteString(msg); err != nil {
 			return err
 		}
 	}
@@ -468,44 +518,79 @@ func writeResponse(w io.Writer, resp *response) error {
 	return nil
 }
 
-func readResponse(r io.Reader) (*response, error) {
-	var hdr [respHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readResponseHeader reads a response's fixed header; its msg (msgLen
+// bytes) and payload (resp.dataLen bytes) follow on r, for
+// readResponseBody. The header names the call, so the reader can find
+// where the payload goes before reading it.
+func readResponseHeader(r *bufio.Reader) (resp response, msgLen int, err error) {
+	hdr, err := peekHeader(r, respHeaderSize)
+	if err != nil {
+		return resp, 0, err
 	}
 	if binary.BigEndian.Uint16(hdr[0:]) != respMagic {
-		return nil, fmt.Errorf("%w: bad response magic", ErrProtocol)
+		return resp, 0, fmt.Errorf("%w: bad response magic", ErrProtocol)
 	}
-	resp := &response{
+	resp = response{
 		seq:    binary.BigEndian.Uint32(hdr[4:]),
 		status: int32(binary.BigEndian.Uint32(hdr[8:])),
 		value:  int64(binary.BigEndian.Uint64(hdr[12:])),
 	}
-	msgLen := binary.BigEndian.Uint32(hdr[20:])
-	dataLen := binary.BigEndian.Uint32(hdr[24:])
-	if msgLen > maxMsgLen || dataLen > MaxChunk {
-		return nil, fmt.Errorf("%w: oversized response", ErrProtocol)
+	ml := binary.BigEndian.Uint32(hdr[20:])
+	dl := binary.BigEndian.Uint32(hdr[24:])
+	if ml > maxMsgLen || dl > MaxChunk {
+		return resp, 0, fmt.Errorf("%w: oversized response", ErrProtocol)
 	}
+	resp.dataLen = int(dl)
+	_, err = r.Discard(respHeaderSize)
+	return resp, int(ml), err
+}
+
+// readResponseBody reads the msg and the payload (dataLen bytes) that
+// follow a response header. The payload is scattered front to back over
+// dst when the call named a destination, else read into a pooled buffer
+// and returned (metadata replies, which copy what they keep and leave the
+// buffer to the GC). A payload longer than dst holds is ErrProtocol: the
+// server answered a different question than the one asked, and the stream
+// cannot be trusted past it.
+func readResponseBody(r io.Reader, msgLen, dataLen int, dst [][]byte) (msg string, data []byte, err error) {
 	if msgLen > 0 {
-		mb := getBuf(int(msgLen))
+		mb := getBuf(msgLen)
 		if _, err := io.ReadFull(r, mb); err != nil {
 			putBuf(mb)
-			return nil, err
+			return "", nil, err
 		}
-		resp.msg = string(mb)
+		msg = string(mb)
 		putBuf(mb)
 	}
-	if dataLen > 0 {
-		// Pooled: the client's data hot paths (ReadAt/Read) release after
-		// copying out; metadata paths copy into strings and leave the
-		// buffer to the GC.
-		resp.data = getBuf(int(dataLen))
-		if _, err := io.ReadFull(r, resp.data); err != nil {
-			putBuf(resp.data)
-			return nil, err
+	if dst == nil {
+		if dataLen == 0 {
+			return msg, nil, nil
 		}
+		data = getBuf(dataLen)
+		if _, err := io.ReadFull(r, data); err != nil {
+			putBuf(data)
+			return "", nil, err
+		}
+		return msg, data, nil
 	}
-	return resp, nil
+	room := 0
+	for _, d := range dst {
+		room += len(d)
+	}
+	if dataLen > room {
+		return "", nil, fmt.Errorf("%w: %d-byte reply to a %d-byte read", ErrProtocol, dataLen, room)
+	}
+	for _, d := range dst {
+		if dataLen == 0 {
+			break
+		}
+		d = d[:min(len(d), dataLen)]
+		if _, err := io.ReadFull(r, d); err != nil {
+			return "", nil, err
+		}
+		dataLen -= len(d)
+	}
+	return msg, nil, nil
 }
 
 // FileInfo is the stat result for a logical path.
@@ -578,37 +663,31 @@ type writeSeg struct {
 	data []byte
 }
 
-// encodeWritev packs segments into an opWritev request payload, coalescing
-// table entries for segments that are contiguous on disk: the payload bytes
-// concatenate either way, so adjacent stripes collapse into one run for
-// free. The buffer is pooled; the caller releases it with putBuf once the
-// frame is on the wire.
+// encodeWritev encodes the segment table of an opWritev request,
+// coalescing entries for segments that are contiguous on disk: the
+// payload bytes concatenate either way, so adjacent stripes collapse into
+// one run for free. The payload itself is not copied: the request carries
+// segs as its tail, and writeRequest sends each segment from the caller's
+// buffer after the table. The table is pooled; the caller releases it with
+// putBuf once the frame is on the wire.
 func encodeWritev(segs []writeSeg) []byte {
-	type run struct {
-		off int64
-		n   int
+	runs := 0
+	for i, s := range segs {
+		if i == 0 || segs[i-1].off+int64(len(segs[i-1].data)) != s.off {
+			runs++
+		}
 	}
-	runs := make([]run, 0, len(segs))
-	size := writevHdrSize
-	for _, s := range segs {
-		size += len(s.data)
-		if k := len(runs) - 1; k >= 0 && runs[k].off+int64(runs[k].n) == s.off {
-			runs[k].n += len(s.data)
+	buf := getBuf(writevHdrSize + runs*writevSegSize)
+	binary.BigEndian.PutUint32(buf[0:], uint32(runs))
+	p := writevHdrSize - writevSegSize
+	for i, s := range segs {
+		if i > 0 && segs[i-1].off+int64(len(segs[i-1].data)) == s.off {
+			binary.BigEndian.PutUint32(buf[p+8:], binary.BigEndian.Uint32(buf[p+8:])+uint32(len(s.data)))
 			continue
 		}
-		runs = append(runs, run{off: s.off, n: len(s.data)})
-	}
-	size += len(runs) * writevSegSize
-	buf := getBuf(size)
-	binary.BigEndian.PutUint32(buf[0:], uint32(len(runs)))
-	p := writevHdrSize
-	for _, r := range runs {
-		binary.BigEndian.PutUint64(buf[p:], uint64(r.off))
-		binary.BigEndian.PutUint32(buf[p+8:], uint32(r.n))
 		p += writevSegSize
-	}
-	for _, s := range segs {
-		p += copy(buf[p:], s.data)
+		binary.BigEndian.PutUint64(buf[p:], uint64(s.off))
+		binary.BigEndian.PutUint32(buf[p+8:], uint32(len(s.data)))
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package srb
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -85,7 +86,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(nulKey.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readRequest(bytes.NewReader(data))
+		req, err := readRequest(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
@@ -99,7 +100,7 @@ func FuzzReadRequest(f *testing.F) {
 		if err := writeRequest(&buf, req); err != nil {
 			t.Fatalf("re-encoding an accepted request failed: %v", err)
 		}
-		again, err := readRequest(bytes.NewReader(buf.Bytes()))
+		again, err := readRequest(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("re-parsing a re-encoded request failed: %v", err)
 		}
@@ -172,8 +173,11 @@ func FuzzDecodeFileInfo(f *testing.F) {
 }
 
 // FuzzWritevRoundTrip drives the vectored-write codec with arbitrary
-// segment layouts. encodeWritev merges contiguous runs, so equality is
-// checked on the flattened offset→byte content, not the segment list.
+// segment layouts, through the frame the client sends: writeRequest puts
+// the table and then each segment on the wire, and the frame must match
+// the packed reference encoding byte for byte. encodeWritev merges
+// contiguous runs, so the decoded vector is checked on the flattened
+// offset→byte content, not the segment list.
 func FuzzWritevRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 4, 4, 4, 100, 2})
 	f.Add([]byte{10, 1})
@@ -195,9 +199,10 @@ func FuzzWritevRoundTrip(f *testing.F) {
 		if len(segs) == 0 {
 			return
 		}
-		payload := encodeWritev(segs)
-		defer putBuf(payload)
-		got, err := decodeWritev(payload)
+		if !bytes.Equal(writevFrame(t, segs), packedFrame(t, segs)) {
+			t.Fatal("frame differs from the packed encoding")
+		}
+		got, err := decodeWritev(sentWritev(t, segs))
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
 		}
@@ -225,9 +230,7 @@ func FuzzWritevRoundTrip(f *testing.F) {
 // FuzzDecodeWritev feeds raw bytes to the vector parser: it must never
 // panic, and every accepted vector must satisfy the protocol bounds.
 func FuzzDecodeWritev(f *testing.F) {
-	good := encodeWritev([]writeSeg{{off: 0, data: []byte("abc")}, {off: 9, data: []byte("z")}})
-	f.Add(bytes.Clone(good))
-	putBuf(good)
+	f.Add(packWritev([]writeSeg{{off: 0, data: []byte("abc")}, {off: 9, data: []byte("z")}}))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0})
 
@@ -358,7 +361,7 @@ func TestReadRequestMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readRequest(bytes.NewReader(tc.input))
+			_, err := readRequest(bufio.NewReader(bytes.NewReader(tc.input)))
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("got error %v, want %v", err, tc.wantErr)
 			}
@@ -369,7 +372,7 @@ func TestReadRequestMalformed(t *testing.T) {
 	}
 
 	t.Run("valid", func(t *testing.T) {
-		req, err := readRequest(bytes.NewReader(valid))
+		req, err := readRequest(bufio.NewReader(bytes.NewReader(valid)))
 		if err != nil {
 			t.Fatal(err)
 		}

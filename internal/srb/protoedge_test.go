@@ -102,8 +102,7 @@ func TestEncodeWritevMergesContiguousRuns(t *testing.T) {
 		{off: 102, data: []byte("dd")}, // contiguous again
 		{off: 90, data: []byte("ee")},  // backward jump: new run
 	}
-	payload := encodeWritev(segs)
-	defer putBuf(payload)
+	payload := sentWritev(t, segs)
 	got, err := decodeWritev(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +166,7 @@ func TestWritevRoundTripUnmerged(t *testing.T) {
 		{off: 5, data: []byte{1}},
 		{off: 0, data: []byte{2, 3}},
 	}
-	payload := encodeWritev(segs)
-	defer putBuf(payload)
+	payload := sentWritev(t, segs)
 	got, err := decodeWritev(payload)
 	if err != nil {
 		t.Fatal(err)

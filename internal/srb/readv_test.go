@@ -97,7 +97,7 @@ func TestReadvMalformedOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := conn.call(&request{op: opReadv, handle: f.handle, data: []byte{0, 0, 0, 0}})
+	resp, err := conn.call(&request{op: opReadv, handle: f.handle, data: []byte{0, 0, 0, 0}}, nil)
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty vector: resp=%+v err=%v, want ErrInvalid", resp, err)
 	}

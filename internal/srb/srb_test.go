@@ -456,7 +456,7 @@ func TestPartialWriteIsAccounted(t *testing.T) {
 		size, written int64 // stored end of file and bytes stored, with room = 40
 	}{
 		{"write", &request{op: opWrite, handle: 1, data: make([]byte, 100)}, 40, 40},
-		{"writev", &request{op: opWritev, handle: 1, data: encodeWritev([]writeSeg{
+		{"writev", &request{op: opWritev, handle: 1, data: packWritev([]writeSeg{
 			{off: 0, data: make([]byte, 30)},
 			{off: 50, data: make([]byte, 100)},
 		})}, 90, 70},
@@ -525,7 +525,7 @@ func TestWritevGrowsCatalogOnce(t *testing.T) {
 			sess := &session{srv: srv, files: map[int32]*openFile{
 				1: {obj: fillingObj{obj, tc.room}, path: "/v", flags: O_RDWR},
 			}}
-			sess.dispatch(&request{op: opWritev, handle: 1, data: encodeWritev(segs)})
+			sess.dispatch(&request{op: opWritev, handle: 1, data: packWritev(segs)})
 			grows := 0
 			for _, r := range j.Records() {
 				if r.Op == mcat.JGrowSize {
