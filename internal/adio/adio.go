@@ -14,6 +14,9 @@ import (
 )
 
 // Open flags, shared by all drivers (values mirror the SRB protocol).
+// O_APPEND is MPI_MODE_APPEND: the MPI-IO layer consumes it by starting the
+// individual file pointer at end of file, and drivers, which take explicit
+// offsets only, ignore it.
 const (
 	O_RDONLY = 0x0
 	O_WRONLY = 0x1

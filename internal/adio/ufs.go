@@ -43,9 +43,6 @@ func toOSFlags(flags int) int {
 	if flags&O_EXCL != 0 {
 		out |= os.O_EXCL
 	}
-	if flags&O_APPEND != 0 {
-		out |= os.O_APPEND
-	}
 	return out
 }
 

@@ -151,11 +151,13 @@ func (d *FedFS) Delete(path string) error {
 	return first
 }
 
-// Open implements adio.Driver. The placement is decided (or recalled) by
-// the Placer; per-slot server handles open lazily on first use, except
-// that truncating or exclusive opens touch every slot file up front —
-// O_TRUNC must empty all slots now, not whenever a slot is next written.
-// Supported hints: "streams" and "stripe_size", as for SRBFS.
+// Open implements adio.Driver. A file exists when it has a placement: an
+// O_CREATE open decides (or recalls) one through the Placer, any other open
+// fails not-found without one. A slot file not yet written is an empty
+// slot, so slot opens carry O_CREATE. Per-slot server handles open lazily
+// on first use, except that truncating or exclusive opens touch every slot
+// file up front — O_TRUNC must empty all slots now, not whenever a slot is
+// next written. Supported hints: "streams" and "stripe_size", as for SRBFS.
 func (d *FedFS) Open(path string, flags int, hints adio.Hints) (adio.File, error) {
 	stripe := d.stripe
 	if v := hints.Get("stripe_size", ""); v != "" {
@@ -165,10 +167,20 @@ func (d *FedFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 		}
 		stripe = int64(n)
 	}
-	slots, err := d.cfg.Placer.Place(path, d.cfg.Width)
-	if err != nil {
-		return nil, fmt.Errorf("core: place %s: %w", path, err)
+	slots, ok := d.cfg.Placer.Lookup(path)
+	switch {
+	case !ok && flags&adio.O_CREATE == 0:
+		return nil, fmt.Errorf("%w: no placement for %s", srb.ErrNotFound, path)
+	case !ok:
+		var err error
+		if slots, err = d.cfg.Placer.Place(path, d.cfg.Width); err != nil {
+			return nil, fmt.Errorf("core: place %s: %w", path, err)
+		}
 	}
+	if flags&adio.O_CREATE == 0 {
+		flags &^= adio.O_EXCL // as on the server, O_EXCL means nothing without O_CREATE
+	}
+	flags |= adio.O_CREATE
 	for _, servers := range slots {
 		for _, server := range servers {
 			if _, ok := d.subs[server]; !ok {

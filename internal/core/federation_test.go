@@ -333,3 +333,72 @@ func TestFedTruncateAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFedOpenAndReopenFollowPlacement: a federated file exists exactly
+// when it has a placement. Opening a path with none fails not-found and
+// places nothing; with one, a slot file never written reads as an empty
+// slot, whether no slot was written (create, close, reopen) or only some
+// were.
+func TestFedOpenAndReopenFollowPlacement(t *testing.T) {
+	const stripe = 512
+	fc := newFedCluster(2, 1)
+	fc.mkdirAll(t, "/fed")
+	fs := fc.fs(t, FedConfig{StripeSize: stripe})
+	// create opens path with O_CREATE, writes data at 0 unless it is
+	// empty, and reopens it without O_CREATE.
+	create := func(t *testing.T, path string, data []byte) adio.File {
+		t.Helper()
+		f, err := fs.Open(path, adio.O_RDWR|adio.O_CREATE, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 0 {
+			if _, err := f.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f, err = fs.Open(path, adio.O_RDWR, nil); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+
+	t.Run("missing", func(t *testing.T) {
+		if f, err := fs.Open("/fed/missing", adio.O_RDWR, nil); !errors.Is(err, srb.ErrNotFound) {
+			if f != nil {
+				f.Close()
+			}
+			t.Fatalf("open without O_CREATE of a missing file = %v, want ErrNotFound", err)
+		}
+		if _, ok := fc.placer.Lookup("/fed/missing"); ok {
+			t.Fatal("failed open left a placement behind")
+		}
+	})
+	t.Run("never written", func(t *testing.T) {
+		f := create(t, "/fed/empty", nil)
+		if sz, err := f.Size(); err != nil || sz != 0 {
+			t.Fatalf("Size = %d, %v; want 0", sz, err)
+		}
+	})
+	t.Run("one slot written", func(t *testing.T) {
+		// Ten bytes land in slot 0 only; slot 1's file is never created.
+		f := create(t, "/fed/short", []byte("0123456789"))
+		if sz, err := f.Size(); err != nil || sz != 10 {
+			t.Fatalf("Size = %d, %v; want 10", sz, err)
+		}
+		got := make([]byte, 2*stripe)
+		if n, err := f.ReadAt(got, 0); n != 10 || err != io.EOF || string(got[:n]) != "0123456789" {
+			t.Fatalf("ReadAt across the unwritten slot = %d %q, %v; want 10, io.EOF", n, got[:n], err)
+		}
+		if n, err := f.WriteAt([]byte("slot1"), stripe); n != 5 || err != nil {
+			t.Fatalf("WriteAt into the unwritten slot = %d, %v", n, err)
+		}
+		if sz, err := f.Size(); err != nil || sz != stripe+5 {
+			t.Fatalf("Size after the slot-1 write = %d, %v; want %d", sz, err, stripe+5)
+		}
+	})
+}

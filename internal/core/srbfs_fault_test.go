@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -584,5 +585,69 @@ func TestServerBusyRetriesWithoutReconnect(t *testing.T) {
 	// Only the driver's one stream and the hog ever dialed.
 	if d.count() != 2 {
 		t.Fatalf("dial count = %d, want 2", d.count())
+	}
+}
+
+// dropReplyConn loses one reply on demand: once drop is armed, the next
+// bytes the server sends are read off the wire, then the connection is cut
+// and the read fails, as when a link dies after the server acted on a
+// request but before its reply reached the client.
+type dropReplyConn struct {
+	net.Conn
+	drop *atomic.Bool
+}
+
+func (c *dropReplyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.drop.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
+// TestAppendHandleLostReplyAppliedOnce: a write on an O_APPEND handle whose
+// reply is lost is replayed on a fresh stream, and the replay lands on the
+// same bytes. Drivers ignore O_APPEND, so neither the original nor the
+// replay can be moved to a grown end of file.
+func TestAppendHandleLostReplyAppliedOnce(t *testing.T) {
+	srv := srb.NewMemServer(storage.DeviceSpec{})
+	var drop atomic.Bool
+	fs, err := NewSRBFS(SRBFSConfig{
+		Dial: func() (net.Conn, error) {
+			c, s := netsim.Pipe(0, nil, nil)
+			go srv.ServeConn(s)
+			return &dropReplyConn{Conn: c, drop: &drop}, nil
+		},
+		Retry: fastRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("/log", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("0123456789"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	f, err = fs.Open("/log", adio.O_RDWR|adio.O_APPEND, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	drop.Store(true)
+	if n, err := f.WriteAt([]byte("abcde"), 10); n != 5 || err != nil {
+		t.Fatalf("WriteAt with a lost reply = %d, %v; want 5, nil", n, err)
+	}
+	if st := f.(*srbFile).FaultStats(); st.RetriedOps != 1 {
+		t.Fatalf("the lost reply was not replayed: %+v", st)
+	}
+	got := make([]byte, 32)
+	n, err := f.ReadAt(got, 0)
+	if err != io.EOF || string(got[:n]) != "0123456789abcde" {
+		t.Fatalf("content = %q, %v; want %q", got[:n], err, "0123456789abcde")
 	}
 }

@@ -80,6 +80,10 @@ func (f *File) nextCollTag() int {
 // driver as list I/O, served however the driver chooses (adio.VectorIO):
 // memfs loops, ufs data-sieves, SRBFS and FedFS ship the vector. On ufs
 // handles the sieve's rule of one writer per window-sized region applies.
+//
+// adio.O_APPEND is MPI_MODE_APPEND, and this layer consumes it: the driver
+// opens without it, and the individual file pointer starts at end of file.
+// Explicit-offset calls still access the offset they name.
 func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio.Hints) (*File, error) {
 	threads := 1
 	if v := hints.Get("io_threads", ""); v != "" {
@@ -89,7 +93,14 @@ func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio
 		}
 		threads = n
 	}
-	inner, err := reg.Open(path, flags, hints)
+	inner, err := reg.Open(path, flags&^adio.O_APPEND, hints)
+	var fp int64
+	if err == nil && flags&adio.O_APPEND != 0 {
+		if fp, err = inner.Size(); err != nil {
+			err = errors.Join(err, inner.Close())
+			inner = nil
+		}
+	}
 
 	if comm != nil {
 		// Collective agreement: all-or-nothing open.
@@ -111,7 +122,7 @@ func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio
 		return nil, fmt.Errorf("mpiio: open %s: %w", path, err)
 	}
 
-	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads)}, nil
+	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads), fp: fp}, nil
 }
 
 // OpenLocal opens a file outside an MPI job (comm == nil).

@@ -549,10 +549,6 @@ type File struct {
 	conn   *Conn
 	handle int32
 	path   string
-
-	posMu sync.Mutex
-	// pos shadows the server-side file pointer for Read/Write; explicit
-	// offset calls do not touch it.
 }
 
 // Path returns the logical path the file was opened with.
@@ -568,6 +564,9 @@ func (f *File) Close() error {
 // into protocol chunks, each read straight into p. It returns io.EOF after
 // reading past end of file.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative read offset", ErrInvalid)
+	}
 	total := 0
 	for total < len(p) {
 		n := min(len(p)-total, MaxChunk)
@@ -587,7 +586,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt writes p at an explicit offset, splitting into protocol chunks.
+// A chunk acknowledged short (e.g. by a full device) surfaces
+// io.ErrShortWrite rather than being retried forever.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative write offset", ErrInvalid)
+	}
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
@@ -763,70 +767,6 @@ func (f *File) ReadAtVec(segs []ReadSeg) (int, error) {
 	n, err := flush()
 	total += n
 	return total, err
-}
-
-// Read reads from the server-side file pointer.
-func (f *File) Read(p []byte) (int, error) {
-	f.posMu.Lock()
-	defer f.posMu.Unlock()
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > MaxChunk {
-			n = MaxChunk
-		}
-		resp, err := f.conn.call(&request{
-			op: opRead, handle: f.handle, offset: -1, length: int64(n),
-		}, [][]byte{p[total : total+n]})
-		if err != nil {
-			return total, err
-		}
-		total += resp.dataLen
-		if resp.dataLen < n {
-			if total == 0 {
-				return 0, io.EOF
-			}
-			return total, nil
-		}
-	}
-	return total, nil
-}
-
-// Write appends at the server-side file pointer.
-func (f *File) Write(p []byte) (int, error) {
-	f.posMu.Lock()
-	defer f.posMu.Unlock()
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > MaxChunk {
-			n = MaxChunk
-		}
-		resp, err := f.conn.call(&request{
-			op: opWrite, handle: f.handle, offset: -1, data: p[total : total+n],
-		}, nil)
-		if err != nil {
-			return total, err
-		}
-		total += int(resp.value)
-		if int(resp.value) < n {
-			// A server acking fewer bytes than sent (e.g. a full
-			// device) must surface, not spin this loop forever.
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
-}
-
-// Seek repositions the server-side file pointer.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	resp, err := f.conn.call(&request{
-		op: opSeek, handle: f.handle, offset: offset, flags: uint32(whence),
-	}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return resp.value, nil
 }
 
 // Stat queries the open file.

@@ -110,17 +110,21 @@ func TestModelRandomOps(t *testing.T) {
 						t.Fatalf("step %d: truncate: %v", step, err)
 					}
 					model.truncate(size)
-				case 8: // seek + pointer write
+				case 8: // vectored write: 2-3 ascending, disjoint segments
+					segs := make([]WriteSeg, 2+rng.Intn(2))
 					off := int64(rng.Intn(20000))
-					if _, err := f.Seek(off, SeekStart); err != nil {
-						t.Fatalf("step %d: seek: %v", step, err)
+					for i := range segs {
+						buf := make([]byte, rng.Intn(1000)+1)
+						rng.Read(buf)
+						segs[i] = WriteSeg{Off: off, Data: buf}
+						off += int64(len(buf) + rng.Intn(500))
 					}
-					buf := make([]byte, rng.Intn(1000)+1)
-					rng.Read(buf)
-					if _, err := f.Write(buf); err != nil {
-						t.Fatalf("step %d: pointer write: %v", step, err)
+					if _, err := f.WriteAtVec(segs); err != nil {
+						t.Fatalf("step %d: vectored write: %v", step, err)
 					}
-					model.writeAt(buf, off)
+					for _, sg := range segs {
+						model.writeAt(sg.Data, sg.Off)
+					}
 				case 9: // full verification
 					check(step)
 				}
@@ -131,8 +135,8 @@ func TestModelRandomOps(t *testing.T) {
 }
 
 // TestModelMultiConn runs the random-ops model across several connections
-// to the same file, serialized by a coin flip, verifying that handle state
-// (positions) is per-session while data is shared.
+// to the same file, serialized by a coin flip, verifying that data written
+// through any session's handle is shared.
 func TestModelMultiConn(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	srv := NewMemServer(storage.DeviceSpec{})

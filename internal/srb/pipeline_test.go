@@ -283,7 +283,7 @@ func TestUnknownTagSeversConn(t *testing.T) {
 func TestTimeoutClassificationNotSticky(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	scriptedConn(sEnd, func(req *request) *response {
-		if req.op == opSeek {
+		if req.op == opFstat {
 			return nil // stall exactly this op
 		}
 		return &response{}
@@ -299,7 +299,7 @@ func TestTimeoutClassificationNotSticky(t *testing.T) {
 	}
 	conn.SetOpTimeout(50 * time.Millisecond)
 
-	_, err = f.Seek(0, SeekStart)
+	_, err = f.Stat()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("stalled op error = %v, want ErrTimeout", err)
 	}

@@ -51,7 +51,7 @@ const (
 	opClose
 	opRead
 	opWrite
-	opSeek
+	_ // 7: retired (the server-side file pointer's seek); never reuse
 	opStat
 	opFstat
 	opTruncate
@@ -85,8 +85,6 @@ func opName(op uint8) string {
 		return "read"
 	case opWrite:
 		return "write"
-	case opSeek:
-		return "seek"
 	case opStat:
 		return "stat"
 	case opFstat:
@@ -133,14 +131,6 @@ const (
 	O_CREATE = 0x4
 	O_TRUNC  = 0x8
 	O_EXCL   = 0x10
-	O_APPEND = 0x20
-)
-
-// Seek whence values (match io.Seek*).
-const (
-	SeekStart   = 0
-	SeekCurrent = 1
-	SeekEnd     = 2
 )
 
 // Status codes carried in responses.

@@ -180,3 +180,53 @@ func TestWritevRoundTripUnmerged(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeOffsetRejectedByServer: offsets are absolute on every data op,
+// so a negative one names no bytes. A raw opRead/opWrite carrying one gets
+// an ErrInvalid status, the file is untouched, and the connection stays up.
+func TestNegativeOffsetRejectedByServer(t *testing.T) {
+	_, conn := startPair(t)
+	f, err := conn.Open("/neg", O_RDWR|O_CREATE, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err = conn.call(&request{op: opWrite, handle: f.handle, offset: -1, data: []byte("XX")}, nil)
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("opWrite at offset -1 = %v, want ErrInvalid", err)
+	}
+	buf := make([]byte, 5)
+	_, err = conn.call(&request{op: opRead, handle: f.handle, offset: -1, length: 5}, [][]byte{buf})
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("opRead at offset -1 = %v, want ErrInvalid", err)
+	}
+	if _, err := conn.Ping(); err != nil {
+		t.Fatalf("ping after rejected offsets: %v", err)
+	}
+	if n, err := f.ReadAt(buf, 0); n != 5 || string(buf) != "hello" {
+		t.Fatalf("content after rejected write = %q (%d, %v), want %q", buf[:n], n, err, "hello")
+	}
+}
+
+// TestNegativeOffsetRejectedClientSide: ReadAt and WriteAt refuse a negative
+// offset with ErrInvalid before anything reaches the wire, as WriteAtVec
+// and ReadAtVec do.
+func TestNegativeOffsetRejectedClientSide(t *testing.T) {
+	conn, f := scriptedFile(t, func(req *request) *response {
+		if req.op == opRead || req.op == opWrite {
+			t.Errorf("op %s at offset %d reached the server", opName(req.op), req.offset)
+		}
+		return &response{}
+	})
+	if _, err := f.ReadAt(make([]byte, 5), -1); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("ReadAt at -1 = %v, want ErrInvalid", err)
+	}
+	if _, err := f.WriteAt([]byte("XX"), -1); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("WriteAt at -1 = %v, want ErrInvalid", err)
+	}
+	if _, err := conn.Ping(); err != nil {
+		t.Fatalf("ping after rejected offsets: %v", err)
+	}
+}

@@ -241,16 +241,16 @@ func TestWriteZeroByteAckSurfacesShortWrite(t *testing.T) {
 	var n int
 	var werr error
 	go func() {
-		n, werr = f.Write([]byte("progressless"))
+		n, werr = f.WriteAt([]byte("progressless"), 0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Write looped forever on zero-byte ack")
+		t.Fatal("WriteAt looped forever on zero-byte ack")
 	}
 	if werr == nil || !errors.Is(werr, io.ErrShortWrite) {
-		t.Fatalf("Write = %d, %v; want io.ErrShortWrite", n, werr)
+		t.Fatalf("WriteAt = %d, %v; want io.ErrShortWrite", n, werr)
 	}
 }
 

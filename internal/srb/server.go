@@ -666,11 +666,9 @@ func (w *writeBehind) run() {
 }
 
 type openFile struct {
-	obj    storage.Object
-	path   string
-	flags  uint32
-	pos    int64
-	append bool
+	obj   storage.Object
+	path  string
+	flags uint32
 }
 
 type session struct {
@@ -725,8 +723,6 @@ func (ss *session) dispatch(req *request) *response {
 		return ss.writev(req)
 	case opReadv:
 		return ss.readv(req)
-	case opSeek:
-		return ss.seek(req)
 	case opStat:
 		return ss.stat(req)
 	case opFstat:
@@ -885,13 +881,7 @@ func (ss *session) open(req *request) *response {
 		s.cat.SetSize(req.path, 0)
 	}
 	h := int32(atomic.AddInt64(&s.handleSeq, 1))
-	of := &openFile{obj: obj, path: req.path, flags: flags, append: flags&O_APPEND != 0}
-	if of.append {
-		if sz, err := obj.Size(); err == nil {
-			of.pos = sz
-		}
-	}
-	ss.files[h] = of
+	ss.files[h] = &openFile{obj: obj, path: req.path, flags: flags}
 	atomic.AddInt64(&s.stats.OpenHandles, 1)
 	return &response{value: int64(h)}
 }
@@ -955,8 +945,9 @@ func (ss *session) close(req *request) *response {
 	return &response{}
 }
 
-// read serves both explicit-offset reads (offset >= 0) and file-pointer
-// reads (offset < 0).
+// read serves an explicit-offset read. Offsets are absolute on every data
+// op: the server keeps no file pointer, so a replayed request names the
+// same bytes as the original.
 func (ss *session) read(req *request) *response {
 	f, er := ss.lookupHandle(req.handle)
 	if er != nil {
@@ -969,19 +960,14 @@ func (ss *session) read(req *request) *response {
 	if n < 0 || n > MaxChunk {
 		return errResp(fmt.Errorf("%w: read length %d", ErrInvalid, n))
 	}
-	off := req.offset
-	usePointer := off < 0
-	if usePointer {
-		off = f.pos
+	if req.offset < 0 {
+		return errResp(fmt.Errorf("%w: negative read offset", ErrInvalid))
 	}
 	buf := getBuf(int(n))
-	rn, err := f.obj.ReadAt(buf, off)
+	rn, err := f.obj.ReadAt(buf, req.offset)
 	if err != nil && err != io.EOF {
 		putBuf(buf) // the error response carries no data; recycle now
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
-	}
-	if usePointer {
-		f.pos = off + int64(rn)
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesRead, int64(rn))
 	return &response{value: int64(rn), data: buf[:rn]}
@@ -996,14 +982,8 @@ func (ss *session) write(req *request) *response {
 		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
 	}
 	off := req.offset
-	usePointer := off < 0
-	if usePointer {
-		off = f.pos
-	}
-	if f.append {
-		if sz, err := f.obj.Size(); err == nil {
-			off = sz
-		}
+	if off < 0 {
+		return errResp(fmt.Errorf("%w: negative write offset", ErrInvalid))
 	}
 	// Quota pre-check before the bytes reach storage: a refused write must
 	// leave no stored-but-unaccounted data behind.
@@ -1019,9 +999,6 @@ func (ss *session) write(req *request) *response {
 	}
 	if err != nil {
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
-	}
-	if usePointer || f.append {
-		f.pos = off + int64(n)
 	}
 	return &response{value: int64(n)}
 }
@@ -1120,34 +1097,6 @@ func (ss *session) readv(req *request) *response {
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesRead, int64(total))
 	return &response{value: int64(total), data: buf[:total]}
-}
-
-func (ss *session) seek(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
-	}
-	var base int64
-	switch req.flags {
-	case SeekStart:
-		base = 0
-	case SeekCurrent:
-		base = f.pos
-	case SeekEnd:
-		sz, err := f.obj.Size()
-		if err != nil {
-			return errResp(fmt.Errorf("%w: %v", ErrIO, err))
-		}
-		base = sz
-	default:
-		return errResp(fmt.Errorf("%w: bad whence %d", ErrInvalid, req.flags))
-	}
-	np := base + req.offset
-	if np < 0 {
-		return errResp(fmt.Errorf("%w: negative seek", ErrInvalid))
-	}
-	f.pos = np
-	return &response{value: np}
 }
 
 func (ss *session) entryInfo(e *mcat.Entry) *FileInfo {

@@ -94,41 +94,6 @@ func TestReadPastEOF(t *testing.T) {
 	}
 }
 
-func TestFilePointerAndSeek(t *testing.T) {
-	_, conn := startPair(t)
-	f, _ := conn.Open("/fp", O_RDWR|O_CREATE, "")
-	if _, err := f.Write([]byte("hello ")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	if pos, err := f.Seek(0, SeekStart); err != nil || pos != 0 {
-		t.Fatalf("seek = %d, %v", pos, err)
-	}
-	buf := make([]byte, 11)
-	if _, err := f.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hello world" {
-		t.Fatalf("got %q", buf)
-	}
-	if _, err := f.Read(buf); err != io.EOF {
-		t.Fatalf("read at EOF = %v", err)
-	}
-	if pos, err := f.Seek(-5, SeekEnd); err != nil || pos != 6 {
-		t.Fatalf("seek end = %d, %v", pos, err)
-	}
-	small := make([]byte, 5)
-	f.Read(small)
-	if string(small) != "world" {
-		t.Fatalf("got %q", small)
-	}
-	if _, err := f.Seek(-100, SeekCurrent); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("negative seek = %v", err)
-	}
-}
-
 func TestOpenFlags(t *testing.T) {
 	_, conn := startPair(t)
 	if _, err := conn.Open("/missing", O_RDONLY, ""); !errors.Is(err, ErrNotFound) {
@@ -164,17 +129,6 @@ func TestOpenFlags(t *testing.T) {
 	f3, _ := conn.Open("/f", O_RDONLY, "")
 	if _, err := f3.WriteAt([]byte("y"), 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("write on rdonly = %v", err)
-	}
-
-	// O_APPEND positions writes at EOF.
-	f4, _ := conn.Open("/f", O_WRONLY|O_APPEND, "")
-	f4.Write([]byte("-more"))
-	f4.Close()
-	f5, _ := conn.Open("/f", O_RDONLY, "")
-	buf := make([]byte, 6)
-	f5.ReadAt(buf, 0)
-	if string(buf) != "x-more" {
-		t.Fatalf("append result %q", buf)
 	}
 }
 

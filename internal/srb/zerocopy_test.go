@@ -160,7 +160,6 @@ var dataCalls = []struct {
 		h := len(p) / 2
 		return f.ReadAtVec([]ReadSeg{{Off: 0, Buf: p[:h]}, {Off: int64(h) + 4096, Buf: p[h:]}})
 	}},
-	{"Read", func(f *File, p []byte) (int, error) { return f.Read(p) }},
 }
 
 // scriptedFile opens a handle on a scripted server over net.Pipe.
@@ -425,19 +424,6 @@ func TestZeroCopyShortReplies(t *testing.T) {
 		check(t, segs[0].Buf, content[10:100])
 		check(t, segs[1].Buf, content[size-50:])
 		check(t, segs[2].Buf, nil)
-	})
-	t.Run("Read", func(t *testing.T) {
-		if _, err := f.Seek(int64(size)-30, SeekStart); err != nil {
-			t.Fatal(err)
-		}
-		p := sentinel(100)
-		if n, err := f.Read(p); n != 30 || err != nil {
-			t.Fatalf("Read = %d, %v; want 30, nil", n, err)
-		}
-		check(t, p, content[size-30:])
-		if n, err := f.Read(p); n != 0 || err != io.EOF {
-			t.Fatalf("Read at EOF = %d, %v; want 0, io.EOF", n, err)
-		}
 	})
 }
 

@@ -27,7 +27,9 @@ import (
 	"semplar/internal/trace"
 )
 
-// Open flags (POSIX-like, matching the SRBFS protocol).
+// Open flags (POSIX-like, matching the SRBFS protocol). O_APPEND is
+// MPI_MODE_APPEND: the file pointer starts at end of file, so Write and
+// IWrite append, while explicit-offset calls write where they say.
 const (
 	O_RDONLY = adio.O_RDONLY
 	O_WRONLY = adio.O_WRONLY
