@@ -35,7 +35,7 @@ import (
 // any error except io.EOF — EOF from a healthy server is a result, not a
 // failure. Each per-server pool is a full SRBFS handle, so cross-server
 // failover reuses the single-server retry classification, reconnect
-// budgets and write coalescing unchanged: a dead shard is just another
+// budgets and stripe pipelining unchanged: a dead shard is just another
 // transient until its budget runs out.
 
 // Endpoint names one SRB server of the federation and how to reach it.
@@ -306,8 +306,8 @@ type fedWrite struct {
 }
 
 // on issues the write on one server's slot handle. A lone extent takes the
-// handle's scalar entry point, which skips the vector bookkeeping; the
-// handle puts the same op on the wire either way.
+// handle's scalar entry point, which skips the vector bookkeeping and puts
+// a plain opWrite per stripe on the wire.
 func (w fedWrite) on(h *srbFile) (int, error) {
 	if len(w.vecs) == 1 {
 		return h.WriteAt(w.vecs[0].Buf, w.vecs[0].Off)

@@ -420,82 +420,79 @@ func (f *srbFile) recoverStream(s *stream, gen int) error {
 // layout is the handle's stripe cut: every stream addresses the one file.
 func (f *srbFile) layout() layout { return layout{stripe: f.stripe, width: len(f.streams)} }
 
-// transfer runs planned pieces, one worker per stream. A stream carrying
-// more than one piece of a write coalesces them into vectored opWritev
-// frames, so k stripes cost roughly one round trip instead of k; more than
-// one piece of a read goes out pipelined on the connection, so the stream's
-// round trips overlap instead of queueing behind each other. A lone piece
-// is a plain opWrite/opRead either way.
-func (f *srbFile) transfer(pieces []piece, write bool) []opResult {
+// transfer cuts extents on stripe boundaries and runs the pieces, one
+// worker per stream. Both directions follow one rule: a scalar call sends
+// one frame per stripe, pipelined on its stream, so the server stores or
+// reads stripe k while stripe k+1 is still on the wire; a vector call sends
+// each stream's pieces as one vectored exchange, because list I/O exists to
+// put many small extents in one round trip. The count on error is the
+// contiguous prefix in plan order.
+func (f *srbFile) transfer(vecs []adio.Vec, write, vector bool) (int, error) {
+	pieces := plan(vecs, f.layout())
 	results := make([]opResult, len(pieces))
 	perTarget(pieces, len(f.streams), func(s int, idxs []int) {
-		st := f.streams[s]
-		switch {
-		case len(idxs) == 1:
-			i := idxs[0]
-			results[i].n, results[i].err = f.rw(st, write, pieces[i].buf, pieces[i].lOff)
-		case write:
-			f.writev(st, pieces, idxs, results)
-		default:
-			f.readPipelined(st, pieces, idxs, results)
+		if vector {
+			f.vectored(f.streams[s], write, pieces, idxs, results)
+		} else {
+			f.pipelined(f.streams[s], write, pieces, idxs, results)
 		}
 	})
-	return results
+	return prefix(pieces, results, write)
 }
 
-// writev sends one stream's pieces as vectored opWritev frames, the whole
-// vector retried as a unit: every segment is an absolute-offset write, so a
-// replay after a mid-vector transport failure converges to the same file
-// contents, exactly like a replayed WriteAt.
-func (f *srbFile) writev(st *stream, pieces []piece, idxs []int, results []opResult) {
-	segs := make([]srb.WriteSeg, len(idxs))
-	for k, i := range idxs {
-		segs[k] = srb.WriteSeg{Off: pieces[i].lOff, Data: pieces[i].buf}
-	}
-	n, err := f.retry(st, func(file *srb.File) (int, error) { return file.WriteAtVec(segs) })
-	f.moved(st.writeCtr, n, err)
-	spread(pieces, idxs, n, err, results)
+// pipelineDepth bounds concurrent explicit-offset ops in flight per
+// stream: enough to hide the round trip under WAN-scale latency without
+// unbounded buffer pressure on the server.
+const pipelineDepth = 8
+
+// pipelined issues one stream's pieces as separate explicit-offset ops,
+// at most pipelineDepth in flight. Each piece is retried on its own; when
+// a connection dies under several of them, the stream's generation check
+// makes it one redial.
+func (f *srbFile) pipelined(st *stream, write bool, pieces []piece, idxs []int, results []opResult) {
+	bounded(pipelineDepth, len(idxs), func(k int) {
+		i := idxs[k]
+		results[i].n, results[i].err = f.rw(st, write, pieces[i].buf, pieces[i].lOff)
+	})
 }
 
-// readv gathers one stream's pieces in one vectored opReadv exchange,
-// retried as a unit. io.EOF is a result, not a failure: the short piece
-// shows it and prefix reports it.
-func (f *srbFile) readv(st *stream, pieces []piece, idxs []int, results []opResult) {
-	segs := make([]srb.ReadSeg, len(idxs))
-	for k, i := range idxs {
-		segs[k] = srb.ReadSeg{Off: pieces[i].lOff, Buf: pieces[i].buf}
+// vectored moves one stream's pieces in one vectored exchange (opWritev or
+// opReadv frames), retried as a unit: every segment is an absolute-offset
+// op, so a replay after a mid-vector transport failure converges to the
+// same state, exactly like a replayed WriteAt. A read's io.EOF is a result,
+// not a failure: the short piece shows it and prefix reports it.
+func (f *srbFile) vectored(st *stream, write bool, pieces []piece, idxs []int, results []opResult) {
+	var ctr string
+	var try func(*srb.File) (int, error)
+	if write {
+		segs := make([]srb.WriteSeg, len(idxs))
+		for k, i := range idxs {
+			segs[k] = srb.WriteSeg{Off: pieces[i].lOff, Data: pieces[i].buf}
+		}
+		ctr, try = st.writeCtr, func(file *srb.File) (int, error) { return file.WriteAtVec(segs) }
+	} else {
+		segs := make([]srb.ReadSeg, len(idxs))
+		for k, i := range idxs {
+			segs[k] = srb.ReadSeg{Off: pieces[i].lOff, Buf: pieces[i].buf}
+		}
+		ctr, try = st.readCtr, func(file *srb.File) (int, error) { return file.ReadAtVec(segs) }
 	}
-	n, err := f.retry(st, func(file *srb.File) (int, error) { return file.ReadAtVec(segs) })
-	f.moved(st.readCtr, n, err)
+	n, err := f.retry(st, try)
+	f.moved(ctr, n, err)
 	if errors.Is(err, io.EOF) {
 		err = nil
 	}
 	spread(pieces, idxs, n, err, results)
 }
 
-// readPipelineDepth bounds concurrent explicit-offset reads in flight per
-// stream: enough to hide the round trip under WAN-scale latency without
-// unbounded read-buffer pressure on the server.
-const readPipelineDepth = 8
-
-// readPipelined issues one stream's piece reads concurrently, at most
-// readPipelineDepth in flight.
-func (f *srbFile) readPipelined(st *stream, pieces []piece, idxs []int, results []opResult) {
-	bounded(readPipelineDepth, len(idxs), func(k int) {
-		i := idxs[k]
-		results[i].n, results[i].err = f.rw(st, false, pieces[i].buf, pieces[i].lOff)
-	})
-}
-
-// striped is ReadAt and WriteAt: with one stream the call is one op on it;
-// with more, it is cut on stripe boundaries and the pieces proceed
-// concurrently.
+// striped is ReadAt and WriteAt: with one stream the call is one op on it,
+// as in original SEMPLAR; with more, its stripes go out pipelined on their
+// streams.
 func (f *srbFile) striped(p []byte, off int64, write bool) (int, error) {
 	if len(f.streams) == 1 {
 		return f.rw(f.streams[0], write, p, off)
 	}
-	pieces := plan([]adio.Vec{{Off: off, Buf: p}}, f.layout())
-	return prefix(pieces, f.transfer(pieces, write), write)
+	return f.transfer([]adio.Vec{{Off: off, Buf: p}}, write, false)
 }
 
 // WriteAt implements adio.File, striping across the streams. On error the
@@ -513,22 +510,13 @@ func (f *srbFile) ReadAt(p []byte, off int64) (int, error) { return f.striped(p,
 // re-merges contiguous pieces, so the stripe cut costs table entries only
 // when it buys stream parallelism. Short reads report the contiguous prefix
 // in segment order with io.EOF, mirroring ReadAt.
-func (f *srbFile) ReadAtVec(vecs []adio.Vec) (int, error) {
-	pieces := plan(vecs, f.layout())
-	results := make([]opResult, len(pieces))
-	perTarget(pieces, len(f.streams), func(s int, idxs []int) {
-		f.readv(f.streams[s], pieces, idxs, results)
-	})
-	return prefix(pieces, results, false)
-}
+func (f *srbFile) ReadAtVec(vecs []adio.Vec) (int, error) { return f.transfer(vecs, false, true) }
 
-// WriteAtVec implements adio.VectorIO through the striped write machinery.
+// WriteAtVec implements adio.VectorIO: the gather list moves in one
+// vectored opWritev exchange per stream, as ReadAtVec's scatter list does.
 // The count on error is the contiguous prefix in segment order, mirroring
 // WriteAt.
-func (f *srbFile) WriteAtVec(vecs []adio.Vec) (int, error) {
-	pieces := plan(vecs, f.layout())
-	return prefix(pieces, f.transfer(pieces, true), true)
-}
+func (f *srbFile) WriteAtVec(vecs []adio.Vec) (int, error) { return f.transfer(vecs, true, true) }
 
 // Size implements adio.File, asking stream 0.
 func (f *srbFile) Size() (size int64, err error) {

@@ -167,25 +167,176 @@ func TestSRBFSTruncFlagOnce(t *testing.T) {
 	}
 }
 
-// TestSRBFSCoalescesPerStream pins the wire shape of a striped write: a
-// stream that carries several stripes of one WriteAt sends them as one
-// vectored request, and a lone stripe is one plain write.
-func TestSRBFSCoalescesPerStream(t *testing.T) {
+// TestSRBFSWireShape pins the request count of each data path over 2
+// streams: a scalar write sends one frame per stripe, pipelined on its
+// stream; a vector write sends one opWritev per stream, however many
+// segments the stream carries; a lone stripe is one request.
+func TestSRBFSWireShape(t *testing.T) {
 	srv, fs := newTestFS(t, 2) // 1 KiB stripes
-	f, err := fs.Open("/coalesce", adio.O_RDWR|adio.O_CREATE, nil)
+	f, err := fs.Open("/shape", adio.O_RDWR|adio.O_CREATE, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for _, c := range []struct{ stripes, requests int64 }{{8, 2}, {1, 1}} {
+	// Eight 512 B segments, one in each of eight stripes: four per stream.
+	var vecs []adio.Vec
+	for i := int64(0); i < 8; i++ {
+		vecs = append(vecs, adio.Vec{Off: i<<10 + 256, Buf: make([]byte, 512)})
+	}
+	for _, c := range []struct {
+		name     string
+		write    func() (int, error)
+		want     int
+		requests int64
+	}{
+		{"8-stripe WriteAt", func() (int, error) { return f.WriteAt(make([]byte, 8<<10), 0) }, 8 << 10, 8},
+		{"8-segment WriteAtVec", func() (int, error) { return f.WriteAtVec(vecs) }, 8 * 512, 2},
+		{"1-stripe WriteAt", func() (int, error) { return f.WriteAt(make([]byte, 1<<10), 0) }, 1 << 10, 1},
+	} {
 		before := srv.Stats().Requests
-		buf := make([]byte, c.stripes<<10)
-		if n, err := f.WriteAt(buf, 0); err != nil || n != len(buf) {
-			t.Fatalf("%d-stripe write = %d, %v", c.stripes, n, err)
+		if n, err := c.write(); err != nil || n != c.want {
+			t.Fatalf("%s = %d, %v", c.name, n, err)
 		}
 		if got := srv.Stats().Requests - before; got != c.requests {
-			t.Fatalf("%d-stripe write over 2 streams cost %d requests, want %d", c.stripes, got, c.requests)
+			t.Fatalf("%s over 2 streams cost %d requests, want %d", c.name, got, c.requests)
 		}
+	}
+}
+
+// gatedConn passes the first left bytes written once armed and holds every
+// later byte until open is closed. Unarmed (left < 0) it passes everything.
+type gatedConn struct {
+	net.Conn
+	mu   sync.Mutex
+	left int64 // guarded by mu
+	open chan struct{}
+}
+
+func (c *gatedConn) arm(n int64) {
+	c.mu.Lock()
+	c.left = n
+	c.mu.Unlock()
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	pass := int64(len(p))
+	if c.left >= 0 {
+		pass = min(pass, c.left)
+		c.left -= pass
+	}
+	c.mu.Unlock()
+	n := 0
+	if pass > 0 {
+		var err error
+		if n, err = c.Conn.Write(p[:pass]); err != nil {
+			return n, err
+		}
+	}
+	if n == len(p) {
+		return n, nil
+	}
+	<-c.open
+	m, err := c.Conn.Write(p[n:])
+	return n + m, err
+}
+
+// writeSpy reports the offset of every object WriteAt as it starts.
+type writeSpy struct {
+	storage.Store
+	writes chan int64
+}
+
+func (s *writeSpy) Create(key string) (storage.Object, error) {
+	obj, err := s.Store.Create(key)
+	return spiedObj{obj, s}, err
+}
+
+func (s *writeSpy) Open(key string) (storage.Object, error) {
+	obj, err := s.Store.Open(key)
+	return spiedObj{obj, s}, err
+}
+
+type spiedObj struct {
+	storage.Object
+	s *writeSpy
+}
+
+func (o spiedObj) WriteAt(p []byte, off int64) (int, error) {
+	select {
+	case o.s.writes <- off:
+	default: // nobody is counting any more; never stall the server
+	}
+	return o.Object.WriteAt(p, off)
+}
+
+// TestStripedWriteStoresWhileSending pins the overlap pipelined stripe
+// writes buy: stream 0 carries stripes 0 and 2 of a 4-stripe WriteAt, and
+// its connection holds back every byte past the first stripe and a half.
+// The server must store stream 0's first stripe while its second is still
+// held back, which it cannot do if the stream's stripes share one frame.
+func TestStripedWriteStoresWhileSending(t *testing.T) {
+	const stripe = 64 << 10
+	spy := &writeSpy{Store: storage.NewMemStore(), writes: make(chan int64, 64)}
+	srv := srb.NewServer()
+	srv.AddResource("mem", "memory", spy)
+	gate := &gatedConn{left: -1, open: make(chan struct{})}
+	dials := 0
+	fs, err := NewSRBFS(SRBFSConfig{
+		Dial: func() (net.Conn, error) {
+			c, s := netsim.Pipe(0, nil, nil)
+			go srv.ServeConn(s)
+			if dials++; dials == 1 {
+				gate.Conn = c
+				return gate, nil
+			}
+			return c, nil
+		},
+		Streams:    2,
+		StripeSize: stripe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("/overlap", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var release sync.Once
+	defer release.Do(func() { close(gate.open) }) // a failed wait must not strand the writer under Close
+
+	payload := make([]byte, 4*stripe)
+	rand.New(rand.NewSource(3)).Read(payload)
+	gate.arm(stripe + stripe/2)
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := f.WriteAt(payload, 0)
+		done <- result{n, err}
+	}()
+
+	// The deadline only turns a server that never gets there into a
+	// failure instead of a hang.
+	timeout := time.After(5 * time.Second)
+	for stored := false; !stored; {
+		select {
+		case off := <-spy.writes:
+			stored = off/stripe%2 == 0 // stripes 0 and 2 are stream 0's
+		case <-timeout:
+			t.Fatal("stream 0's first stripe was not stored while its second was held back")
+		}
+	}
+	release.Do(func() { close(gate.open) })
+	if r := <-done; r.err != nil || r.n != len(payload) {
+		t.Fatalf("WriteAt = %d, %v", r.n, r.err)
+	}
+	got := make([]byte, len(payload))
+	if n, err := f.ReadAt(got, 0); err != nil || n != len(got) || !bytes.Equal(got, payload) {
+		t.Fatalf("readback = %d, %v, intact=%v", n, err, bytes.Equal(got, payload))
 	}
 }
 
