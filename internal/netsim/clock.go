@@ -3,13 +3,14 @@ package netsim
 import "time"
 
 // The simulator models elapsed time with the host clock: limiters compute
-// how long a transfer would take and the pipes sleep it off. Every wall
-// clock read and every sleep in the package funnels through this file so
-// that (a) the determinism analyzer (semplarvet) can ban stray
-// time.Now/time.Sleep elsewhere in the package, and (b) a future virtual
-// clock only has to replace these two functions. Randomness is handled the
-// same way: all jitter draws come from per-connection seeded *rand.Rand
-// sources (see Jitter), never the global math/rand state.
+// how long a transfer would take and the pipes, the MPI fabric and the
+// storage device model (internal/storage, through Pacer) sleep it off.
+// Every wall clock read and every sleep in the package funnels through
+// this file so that (a) the determinism analyzer (semplarvet) can ban
+// stray time.Now/time.Sleep elsewhere in the package, and (b) a future
+// virtual clock only has to replace these functions. Randomness is handled
+// the same way: all jitter draws come from per-connection seeded
+// *rand.Rand sources (see Jitter), never the global math/rand state.
 
 // now returns the simulator's current time.
 func now() time.Time { return time.Now() }
@@ -18,6 +19,28 @@ func now() time.Time { return time.Now() }
 func sleep(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
+	}
+}
+
+// Pacer keeps one sequential caller on its model schedule. The host timer
+// wakes a sleeper late (up to ~1 ms for a sub-millisecond sleep); the
+// caller's next reservation starts that much earlier, so over any run of
+// paced waits its real time is the model's plus at most one overshoot, not
+// one per sleep. The zero value is ready; it is not safe for concurrent use.
+type Pacer struct{ late time.Duration }
+
+// start returns the instant the caller's next reservation starts from.
+func (p *Pacer) start() time.Time { return now().Add(-p.late) }
+
+// sleepUntil sleeps until the model instant at and records how late the
+// caller woke. If at has passed, lateness can only shrink: time spent
+// between paced waits never turns into credit.
+func (p *Pacer) sleepUntil(at time.Time) {
+	if d := at.Sub(now()); d > 0 {
+		sleep(d)
+		p.late = now().Sub(at)
+	} else if -d < p.late {
+		p.late = -d
 	}
 }
 

@@ -13,6 +13,10 @@
 //     buckets drawn by every stream that crosses them,
 //   - each node has an I/O bus shared by the MPI interconnect and the
 //     Ethernet NIC, reproducing the bus-contention result of Section 7.1.
+//
+// Waits are paced (see Pacer), so the host timer's overshoot is not charged
+// as link time. The storage device model (internal/storage) meters its I/O
+// through the same Limiter and Pacer.
 package netsim
 
 import (
@@ -59,11 +63,11 @@ func (l *Limiter) Reserve(n int, now time.Time) time.Duration {
 	return l.next.Sub(now)
 }
 
-// Wait reserves n bytes and sleeps until their transmission completes.
-func (l *Limiter) Wait(n int) {
-	if d := l.Reserve(n, now()); d > 0 {
-		sleep(d)
-	}
+// Wait charges a fixed delay lat and then n bytes, reserved on p's
+// schedule, and sleeps once until both have passed.
+func (l *Limiter) Wait(p *Pacer, lat time.Duration, n int) {
+	start := p.start().Add(lat)
+	p.sleepUntil(start.Add(l.Reserve(n, start)))
 }
 
 // Stage is one serialization point on a transfer path: a link, a shared
@@ -158,14 +162,6 @@ func (b *Bus) reserve(class, n int, now time.Time) time.Duration {
 		n = int(float64(n) * (1 + b.penalty))
 	}
 	return b.lim.Reserve(n, now)
-}
-
-// Transfer draws n bytes of the given class through the bus, sleeping as
-// needed.
-func (b *Bus) Transfer(class, n int) {
-	if d := b.reserve(class, n, now()); d > 0 {
-		sleep(d)
-	}
 }
 
 type busPort struct {

@@ -367,3 +367,107 @@ func TestNullFabric(t *testing.T) {
 		t.Fatal("NullFabric should be instantaneous")
 	}
 }
+
+// campusStream is one 256 KiB-window TCP stream over a 400 µs RTT: 64 KiB
+// serializes in 100 µs, well under the host timer's overshoot.
+const campusStream = (256 << 10) / 400e-6
+
+// TestPipeStampsBackToBack pins the link's timing contract: one Write's
+// chunks are reserved back to back, so consecutive delivery stamps sit
+// exactly one chunk's serialization time apart, and the call returns within
+// one timer overshoot of the model instead of one per chunk. A loaded host
+// can preempt the writer for longer than one overshoot; that is not link
+// time, so the bound needs one undisturbed run of three.
+func TestPipeStampsBackToBack(t *testing.T) {
+	const n = maxInflight // every chunk stays queued for inspection
+	p := make([]byte, n)
+	model := time.Duration(float64(n) / campusStream * float64(time.Second))
+	step := time.Duration(float64(chunkSize) / campusStream * float64(time.Second))
+	var runs []time.Duration
+	for len(runs) < 3 {
+		// Copying the payload is the sender's CPU, not link time, and
+		// under the race detector it alone outlasts the model: allow what
+		// the same Write costs over an unshaped pipe.
+		u, v := Pipe(0, nil, nil)
+		start := time.Now()
+		if _, err := u.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		cpu := time.Since(start)
+		u.Close()
+		v.Close()
+
+		a, b := Pipe(0, []Stage{NewLimiter(campusStream)}, nil)
+		start = time.Now()
+		if _, err := a.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		el := time.Since(start)
+		segs := b.recv.segs // b is never read: a's Write was the last touch
+		a.Close()
+		b.Close()
+		if len(segs) != n/chunkSize {
+			t.Fatalf("%d segments queued, want %d", len(segs), n/chunkSize)
+		}
+		for i := 1; i < len(segs); i++ {
+			if d := segs[i].at.Sub(segs[i-1].at); d != step {
+				t.Fatalf("chunk %d stamped %v after chunk %d, want exactly %v", i, d, i-1, step)
+			}
+		}
+		if el < model {
+			t.Fatalf("4 MiB Write took %v, faster than the model's %v", el, model)
+		}
+		if el <= model+cpu+5*time.Millisecond {
+			return
+		}
+		runs = append(runs, el-cpu)
+	}
+	t.Fatalf("4 MiB Write took %v beyond its copying cost, want <= %v", runs, model+5*time.Millisecond)
+}
+
+// TestPipeOneWayAfterOvershoot pins causality under pacing credit: a Write
+// issued right after a sleep that woke late may be reserved in the past,
+// but its bytes are never stamped earlier than the Write began plus one
+// way, so every ping-pong takes at least the round trip.
+func TestPipeOneWayAfterOvershoot(t *testing.T) {
+	const oneWay = 1500 * time.Microsecond
+	a, b := Pipe(oneWay, []Stage{NewLimiter(campusStream)}, []Stage{NewLimiter(campusStream)})
+	defer a.Close()
+	defer b.Close()
+	bulk := make([]byte, chunkSize) // one 100 µs sleep, which overshoots
+	buf := make([]byte, chunkSize+1)
+	overshot := 0
+	for i := 0; i < 200; i++ {
+		if _, err := a.Write(bulk); err != nil {
+			t.Fatal(err)
+		}
+		if a.pace.late > 0 {
+			overshot++
+		}
+		t0 := time.Now()
+		if _, err := a.Write([]byte{'?'}); err != nil {
+			t.Fatal(err)
+		}
+		b.recv.mu.Lock()
+		stamp := b.recv.segs[len(b.recv.segs)-1].at
+		b.recv.mu.Unlock()
+		if early := t0.Add(oneWay).Sub(stamp); early > 0 {
+			t.Fatalf("ping %d stamped %v before its Write began plus one way", i, early)
+		}
+		if _, err := io.ReadFull(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Write([]byte{'!'}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(a, buf[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if rtt := time.Since(t0); rtt < 2*oneWay {
+			t.Fatalf("ping %d took %v, want >= %v", i, rtt, 2*oneWay)
+		}
+	}
+	if overshot == 0 {
+		t.Fatal("no ping followed a late wake-up; the test exercised no credit")
+	}
+}

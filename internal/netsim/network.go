@@ -146,8 +146,6 @@ func (n *Network) DialShard(node, shard int) (client, server net.Conn) {
 	c.spike = &n.spike
 	s.spike = &n.spike
 	n.mu.Lock()
-	n.conns++
-	n.live[c] = connInfo{node: node, shard: shard}
 	tr := n.tracer
 	if n.prof.LatencyJitter > 0 {
 		// Independent per-direction jitter sources with deterministic
@@ -172,6 +170,12 @@ func (n *Network) DialShard(node, shard int) (client, server net.Conn) {
 		n.mu.Unlock()
 		tr.Gauge("netsim.conns", -1)
 	})
+	// Publish c only now: a concurrent KillConns may kill it as soon as
+	// it is live, and Kill reads the fields set above.
+	n.mu.Lock()
+	n.conns++
+	n.live[c] = connInfo{node: node, shard: shard}
+	n.mu.Unlock()
 	return c, s
 }
 
@@ -332,17 +336,15 @@ func (f *icFabric) Transfer(src, dst, nbytes int) {
 	if src == dst {
 		return // intra-node move through shared memory
 	}
-	if lat := n.prof.ICLatency; lat > 0 {
-		sleep(lat)
+	// Serialization is reserved from the moment the latency ends, so a
+	// message costs one sleep and at most one timer overshoot.
+	var lims []Stage
+	if nbytes > 0 {
+		lims = compact(n.icByNode[src], n.icByNode[dst],
+			n.buses[src].Stage(BusClassMPI), n.buses[dst].Stage(BusClassMPI))
 	}
-	if nbytes <= 0 {
-		return
-	}
-	lims := compact(n.icByNode[src], n.icByNode[dst],
-		n.buses[src].Stage(BusClassMPI), n.buses[dst].Stage(BusClassMPI))
-	if wait := reserveAll(lims, nbytes, now()); wait > 0 {
-		sleep(wait)
-	}
+	at := now().Add(n.prof.ICLatency)
+	sleep(at.Add(reserveAll(lims, nbytes, at)).Sub(now()))
 }
 
 // NullFabric is a Fabric with zero cost, for functional tests.

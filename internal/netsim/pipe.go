@@ -15,9 +15,9 @@ import (
 var ErrClosed = errors.New("netsim: connection closed")
 
 // chunkSize is the granularity at which writes are serialized through the
-// limiters. Small enough that concurrent streams interleave fairly, large
-// enough that per-chunk sleep overshoot stays negligible relative to the
-// chunk's own serialization time.
+// limiters, small enough that concurrent streams interleave fairly. A chunk
+// can serialize faster than the host timer's overshoot (100 µs on a 655 MB/s
+// campus stream, against ~1 ms), so a Conn paces its chunks with a Pacer.
 const chunkSize = 64 << 10
 
 // maxInflight bounds the bytes buffered between a sender and its peer's
@@ -93,20 +93,22 @@ func (h *halfPipe) read(p []byte) (int, error) {
 }
 
 // push enqueues data for delivery at time at, blocking while the inflight
-// window is full. It reports false if the receiving side has been closed.
-func (h *halfPipe) push(data []byte, at time.Time) bool {
+// window is full. It reports false if the receiving side has been closed,
+// and whether it had to block.
+func (h *halfPipe) push(data []byte, at time.Time) (ok, blocked bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for h.buffered >= maxInflight && h.rerr == nil && !h.closed {
+		blocked = true
 		h.cond.Wait()
 	}
 	if h.rerr != nil || h.closed {
-		return false
+		return false, blocked
 	}
 	h.segs = append(h.segs, segment{data: data, at: at})
 	h.buffered += len(data)
 	h.cond.Broadcast()
-	return true
+	return true, blocked
 }
 
 func (h *halfPipe) closeWrite() {
@@ -134,6 +136,7 @@ type Conn struct {
 	latency time.Duration
 	lims    []Stage // serialization stages on the send path
 	jitter  *Jitter // optional extra delivery delay
+	pace    Pacer   // the sender's schedule; Write calls are sequential
 
 	// spike, when non-nil, points at a shared extra one-way latency in
 	// nanoseconds added to every delivery (a routing flap / congestion
@@ -178,17 +181,25 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return c.recv.read(p)
 }
 
-// Write shapes p through the send-path limiters in chunkSize pieces and
-// schedules each piece for delivery one latency later.
+// Write shapes p through the send-path limiters in chunkSize pieces, each
+// reserved at the model completion of the one before, and schedules each
+// piece for delivery one latency after its own scheduled completion.
 func (c *Conn) Write(p []byte) (int, error) {
+	begin := now()
+	at := c.pace.start()
 	total := 0
 	for len(p) > 0 {
 		n := len(p)
 		if n > chunkSize {
 			n = chunkSize
 		}
-		if wait := reserveAll(c.lims, n, now()); wait > 0 {
-			sleep(wait)
+		at = at.Add(reserveAll(c.lims, n, at))
+		c.pace.sleepUntil(at)
+		// Pacing credit may schedule a chunk before this Write began;
+		// delivering it that early would break causality.
+		sent := at
+		if sent.Before(begin) {
+			sent = begin
 		}
 		proceed, stalled := c.consumeFaultBudget(n)
 		if !proceed {
@@ -206,8 +217,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if c.spike != nil {
 			oneWay += time.Duration(c.spike.Load())
 		}
-		if !c.peer.push(data, now().Add(oneWay)) {
+		ok, blocked := c.peer.push(data, sent.Add(oneWay))
+		if !ok {
 			return total, ErrClosed
+		}
+		if blocked {
+			// The link idled while the peer's window was full: the next
+			// chunk starts from now, not back to back with this one.
+			at = c.pace.start()
 		}
 		c.tr.Count(c.txCtr, int64(n))
 		p = p[n:]

@@ -88,29 +88,25 @@ func (d *Device) Exists(key string) bool { return d.inner.Exists(key) }
 // Keys implements Store.
 func (d *Device) Keys() []string { return d.inner.Keys() }
 
+// meteredObject charges each call's OpLatency and bytes as one paced wait
+// on its own schedule: the SRB server drives an open object from one
+// goroutine at a time.
 type meteredObject struct {
-	obj Object
-	dev *Device
+	obj  Object
+	dev  *Device
+	pace netsim.Pacer
 }
 
 func (m *meteredObject) ReadAt(p []byte, off int64) (int, error) {
-	if m.dev.spec.OpLatency > 0 {
-		time.Sleep(m.dev.spec.OpLatency)
-	}
 	n, err := m.obj.ReadAt(p, off)
-	if n > 0 {
-		m.dev.rd.Wait(n)
-	}
+	m.dev.rd.Wait(&m.pace, m.dev.spec.OpLatency, n)
 	return n, err
 }
 
 func (m *meteredObject) WriteAt(p []byte, off int64) (int, error) {
-	if m.dev.spec.OpLatency > 0 {
-		time.Sleep(m.dev.spec.OpLatency)
-	}
 	// Charge the device before acknowledging: a committed write is not
 	// complete until the array has absorbed it.
-	m.dev.wr.Wait(len(p))
+	m.dev.wr.Wait(&m.pace, m.dev.spec.OpLatency, len(p))
 	return m.obj.WriteAt(p, off)
 }
 

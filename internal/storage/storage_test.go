@@ -248,6 +248,41 @@ func TestDeviceMetersWrites(t *testing.T) {
 	}
 }
 
+// TestDevicePacesSmallWrites pins the device's timing contract: a run of
+// small sequential calls costs the model's time plus at most one host timer
+// overshoot, not one overshoot per call. A loaded host can preempt the
+// writer for longer than one overshoot; that is not the device model's
+// time, so the bound needs one undisturbed run of three.
+func TestDevicePacesSmallWrites(t *testing.T) {
+	const calls, size = 64, 2 << 10
+	rate := 600.0 * netsim.MBps
+	model := time.Duration(float64(calls*size) / rate * float64(time.Second))
+	limit := model + 5*time.Millisecond
+	buf := make([]byte, size)
+	var runs []time.Duration
+	for len(runs) < 3 {
+		o, err := WithDevice(NewMemStore(), DeviceSpec{WriteRate: rate}).Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			if _, err := o.WriteAt(buf, int64(i*size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		el := time.Since(start)
+		if el < model {
+			t.Fatalf("%d writes of %d B took %v, faster than the model's %v", calls, size, el, model)
+		}
+		if el <= limit {
+			return
+		}
+		runs = append(runs, el)
+	}
+	t.Fatalf("%d writes of %d B took %v, want <= %v", calls, size, runs, limit)
+}
+
 func TestDeviceScaled(t *testing.T) {
 	spec := DeviceSpec{ReadRate: 10, WriteRate: 20, OpLatency: time.Second}
 	s := spec.Scaled(10)
