@@ -21,7 +21,8 @@ import (
 // checking them in dependency order; imports that leave the module (the
 // standard library) are delegated to go/importer's source importer, which
 // type-checks them from GOROOT/src. Disabling cgo keeps packages like net
-// checkable from pure Go sources.
+// checkable from pure Go sources. A file whose name or build constraint
+// excludes it from build.Default's platform is skipped, as go build skips it.
 
 func init() {
 	build.Default.CgoEnabled = false
@@ -113,6 +114,9 @@ func LoadModule(root string) ([]*Package, error) {
 			return nil
 		}
 		dir := filepath.Dir(path)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err // another platform's file, or an unreadable one
+		}
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err

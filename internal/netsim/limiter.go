@@ -14,8 +14,9 @@
 //   - each node has an I/O bus shared by the MPI interconnect and the
 //     Ethernet NIC, reproducing the bus-contention result of Section 7.1.
 //
-// Waits are paced (see Pacer), so the host timer's overshoot is not charged
-// as link time. The storage device model (internal/storage) meters its I/O
+// Waits block on a precise kernel timer where the host has one (see
+// waitUntil) and are paced (see Pacer), so wake-up delay is not charged as
+// link time. The storage device model (internal/storage) meters its I/O
 // through the same Limiter and Pacer.
 package netsim
 
@@ -64,10 +65,10 @@ func (l *Limiter) Reserve(n int, now time.Time) time.Duration {
 }
 
 // Wait charges a fixed delay lat and then n bytes, reserved on p's
-// schedule, and sleeps once until both have passed.
+// schedule, and waits once until both have passed.
 func (l *Limiter) Wait(p *Pacer, lat time.Duration, n int) {
 	start := p.start().Add(lat)
-	p.sleepUntil(start.Add(l.Reserve(n, start)))
+	p.waitUntil(start.Add(l.Reserve(n, start)))
 }
 
 // Stage is one serialization point on a transfer path: a link, a shared

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -469,5 +472,77 @@ func TestPipeOneWayAfterOvershoot(t *testing.T) {
 	}
 	if overshot == 0 {
 		t.Fatal("no ping followed a late wake-up; the test exercised no credit")
+	}
+}
+
+// TestPipeDeliversOnStamp pins the receive side of the timing contract: a
+// reader waiting for a segment wakes at its delivery stamp, not at the host
+// timer's next tick. No ping-pong may beat the round trip; on Linux, where
+// waits block on a kernel timer, the median must also stay within 200 µs of
+// it (the Go timer alone wakes each side up to ~1 ms late).
+func TestPipeDeliversOnStamp(t *testing.T) {
+	const oneWay = 200 * time.Microsecond
+	a, b := Pipe(oneWay, nil, nil)
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		buf := make([]byte, 1)
+		for {
+			if _, err := b.Read(buf); err != nil {
+				return
+			}
+			if _, err := b.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	rtts := make([]time.Duration, 200)
+	buf := make([]byte, 1)
+	for i := range rtts {
+		t0 := time.Now()
+		if _, err := a.Write([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		rtts[i] = time.Since(t0)
+		if rtts[i] < 2*oneWay {
+			t.Fatalf("ping %d took %v, want >= %v", i, rtts[i], 2*oneWay)
+		}
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	med := rtts[len(rtts)/2]
+	t.Logf("RTT median %v, max %v (model %v)", med, rtts[len(rtts)-1], 2*oneWay)
+	if runtime.GOOS == "linux" && med > 3*oneWay {
+		t.Fatalf("median RTT %v, want <= %v", med, 3*oneWay)
+	}
+}
+
+// TestWaitNeverEarly holds both wait paths to the instant they were given:
+// waitUntil (the kernel timer on Linux) and sleepUntil, its Go-timer
+// fallback, called directly. Concurrent waiters each hold their own timer.
+func TestWaitNeverEarly(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		wait func(time.Time)
+	}{{"waitUntil", waitUntil}, {"sleepUntil", sleepUntil}} {
+		t.Run(w.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			var wg sync.WaitGroup
+			for i := 0; i < 64; i++ {
+				ahead := time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					at := time.Now().Add(ahead)
+					w.wait(at)
+					if early := at.Sub(time.Now()); early > 0 {
+						t.Errorf("waited %v ahead, returned %v early", ahead, early)
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }

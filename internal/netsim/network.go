@@ -129,9 +129,7 @@ func (n *Network) Dial(node int) (client, server net.Conn) {
 // exactly one shard's streams — a single server crashing out of N.
 func (n *Network) DialShard(node, shard int) (client, server net.Conn) {
 	node = n.clamp(node)
-	if rtt := n.prof.RTT(); rtt > 0 {
-		sleep(rtt) // TCP handshake
-	}
+	waitUntil(now().Add(n.prof.RTT())) // TCP handshake
 	stream := n.prof.StreamRate()
 	var upStream, downStream *Limiter
 	if stream > 0 {
@@ -337,14 +335,14 @@ func (f *icFabric) Transfer(src, dst, nbytes int) {
 		return // intra-node move through shared memory
 	}
 	// Serialization is reserved from the moment the latency ends, so a
-	// message costs one sleep and at most one timer overshoot.
+	// message costs one wait and at most one wake-up delay.
 	var lims []Stage
 	if nbytes > 0 {
 		lims = compact(n.icByNode[src], n.icByNode[dst],
 			n.buses[src].Stage(BusClassMPI), n.buses[dst].Stage(BusClassMPI))
 	}
 	at := now().Add(n.prof.ICLatency)
-	sleep(at.Add(reserveAll(lims, nbytes, at)).Sub(now()))
+	waitUntil(at.Add(reserveAll(lims, nbytes, at)))
 }
 
 // NullFabric is a Fabric with zero cost, for functional tests.

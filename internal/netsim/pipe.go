@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"semplar/internal/bufpool"
 	"semplar/internal/trace"
 )
 
@@ -16,9 +17,32 @@ var ErrClosed = errors.New("netsim: connection closed")
 
 // chunkSize is the granularity at which writes are serialized through the
 // limiters, small enough that concurrent streams interleave fairly. A chunk
-// can serialize faster than the host timer's overshoot (100 µs on a 655 MB/s
-// campus stream, against ~1 ms), so a Conn paces its chunks with a Pacer.
+// serializes in about as long as a wait takes to wake (100 µs on a 655 MB/s
+// campus stream, against tens of µs of wake-up delay, or ~1 ms on the Go
+// timer fallback), so a Conn paces its chunks with a Pacer.
 const chunkSize = 64 << 10
+
+// chunkPool holds the copies Write queues toward the peer. A chunk goes
+// back when the peer's reader has drained it; a segment dropped by
+// closeRead is left to the GC. The inflight window counts bytes, not
+// capacity, so the class ladder keeps a short write from pinning a whole
+// chunk: above 512 B a buffer is at most 8× its contents. The pool is
+// built on first use, so a process that never writes to a Conn runs
+// nothing for it at package load.
+var (
+	chunkPoolOnce sync.Once
+	chunkPool     *bufpool.Pool
+)
+
+func chunks() *bufpool.Pool {
+	chunkPoolOnce.Do(func() { chunkPool = bufpool.New(512, 4<<10, 16<<10, chunkSize) })
+	return chunkPool
+}
+
+// getBuf and putBuf are the package's pool entry points; the pooluse lint
+// rule tracks buffer ownership by these names.
+func getBuf(n int) []byte { return chunks().Get(n) }
+func putBuf(b []byte)     { chunks().Put(b) }
 
 // maxInflight bounds the bytes buffered between a sender and its peer's
 // reader, standing in for the TCP send/receive buffers. Writers block once
@@ -27,7 +51,8 @@ const chunkSize = 64 << 10
 const maxInflight = 4 << 20
 
 type segment struct {
-	data []byte
+	data []byte    // not yet read
+	buf  []byte    // the pooled chunk data is a tail of, released once drained
 	at   time.Time // earliest delivery time (send completion + latency)
 }
 
@@ -61,19 +86,20 @@ func (h *halfPipe) read(p []byte) (int, error) {
 				// Head not yet "arrived": wait out the latency
 				// without holding the lock.
 				h.mu.Unlock()
-				sleep(head.at.Sub(arrived))
+				waitUntil(head.at)
 				h.mu.Lock()
 				continue
 			}
 			// Drain every segment that has already arrived, so a
-			// large read pays at most one latency sleep.
+			// large read pays at most one latency wait.
 			n := 0
 			for n < len(p) && len(h.segs) > 0 && !h.segs[0].at.After(arrived) {
 				seg := h.segs[0]
 				c := copy(p[n:], seg.data)
 				n += c
 				if c == len(seg.data) {
-					h.segs[0].data = nil
+					putBuf(seg.buf)
+					h.segs[0] = segment{}
 					h.segs = h.segs[1:]
 				} else {
 					h.segs[0].data = seg.data[c:]
@@ -92,10 +118,10 @@ func (h *halfPipe) read(p []byte) (int, error) {
 	}
 }
 
-// push enqueues data for delivery at time at, blocking while the inflight
-// window is full. It reports false if the receiving side has been closed,
-// and whether it had to block.
-func (h *halfPipe) push(data []byte, at time.Time) (ok, blocked bool) {
+// push enqueues seg for delivery, blocking while the inflight window is
+// full. It reports false if the receiving side has been closed, and whether
+// it had to block.
+func (h *halfPipe) push(seg segment) (ok, blocked bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for h.buffered >= maxInflight && h.rerr == nil && !h.closed {
@@ -105,8 +131,8 @@ func (h *halfPipe) push(data []byte, at time.Time) (ok, blocked bool) {
 	if h.rerr != nil || h.closed {
 		return false, blocked
 	}
-	h.segs = append(h.segs, segment{data: data, at: at})
-	h.buffered += len(data)
+	h.segs = append(h.segs, seg)
+	h.buffered += len(seg.data)
 	h.cond.Broadcast()
 	return true, blocked
 }
@@ -194,7 +220,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			n = chunkSize
 		}
 		at = at.Add(reserveAll(c.lims, n, at))
-		c.pace.sleepUntil(at)
+		c.pace.waitUntil(at)
 		// Pacing credit may schedule a chunk before this Write began;
 		// delivering it that early would break causality.
 		sent := at
@@ -211,14 +237,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			return total, ErrClosed
 		}
-		data := make([]byte, n)
+		data := getBuf(n)
 		copy(data, p[:n])
 		oneWay := c.latency + c.jitter.delay()
 		if c.spike != nil {
 			oneWay += time.Duration(c.spike.Load())
 		}
-		ok, blocked := c.peer.push(data, sent.Add(oneWay))
+		ok, blocked := c.peer.push(segment{data: data, buf: data, at: sent.Add(oneWay)})
 		if !ok {
+			putBuf(data)
 			return total, ErrClosed
 		}
 		if blocked {
