@@ -307,7 +307,7 @@ type fedWrite struct {
 
 // on issues the write on one server's slot handle. A lone extent takes the
 // handle's scalar entry point, which skips the vector bookkeeping and puts
-// a plain opWrite per stripe on the wire.
+// one one-segment opWritev per stripe on the wire, pipelined.
 func (w fedWrite) on(h *srbFile) (int, error) {
 	if len(w.vecs) == 1 {
 		return h.WriteAt(w.vecs[0].Buf, w.vecs[0].Off)

@@ -11,8 +11,11 @@ import "semplar/internal/bufpool"
 // Paths that retain decoded data (List, Stat, GetAttr — all of which copy
 // into strings) simply never release.
 //
-// The largest class is MaxChunk: no wire payload exceeds it.
-var payloadPool = bufpool.New(4<<10, 64<<10, 1<<20, MaxChunk)
+// Each class is a power of two plus a one-entry table, so a contiguous
+// write of a power-of-two size, which travels behind its table, takes the
+// class a read of that size takes. The largest class is maxReqData: no
+// wire payload exceeds it.
+var payloadPool = bufpool.New(4<<10+oneEntryTable, 64<<10+oneEntryTable, 1<<20+oneEntryTable, maxReqData)
 
 // getBuf and putBuf are the package's pool entry points; the pooluse lint
 // rule tracks buffer ownership by these names.

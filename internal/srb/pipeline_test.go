@@ -517,11 +517,11 @@ func startWBScript(t *testing.T) *wbScript {
 
 	h.call(t, &request{op: opConnect, seq: 1, path: "tester"})
 	handle := int32(h.call(t, &request{op: opOpen, seq: 2, path: "/wb", flags: O_RDWR | O_CREATE}).value)
-	if n := h.call(t, &request{op: opWrite, seq: 3, handle: handle, data: h.data}).value; n != int64(len(h.data)) {
+	if n := h.call(t, writevReq(3, handle, 0, h.data)).value; n != int64(len(h.data)) {
 		t.Fatalf("prefill wrote %d bytes, want %d", n, len(h.data))
 	}
 	for i := 0; i < 3; i++ {
-		h.send(t, &request{op: opRead, seq: uint32(10 + i), handle: handle, offset: int64(i) * wbChunk, length: wbChunk})
+		h.send(t, readvReq(uint32(10+i), handle, int64(i)*wbChunk, wbChunk))
 	}
 	// The server's reader pushed read #2 before it consumed read #3's
 	// bytes, which is when the last send returned.

@@ -53,7 +53,7 @@ func waitPoolBalanced(t *testing.T, gets0, puts0, minGets int64) {
 	}
 }
 
-// TestReadErrorRecyclesBuffer drives session.read against an object whose
+// TestReadErrorRecyclesBuffer drives session.readv against an object whose
 // ReadAt fails: the pooled buffer allocated for the payload must be
 // recycled before the error response returns.
 func TestReadErrorRecyclesBuffer(t *testing.T) {
@@ -62,8 +62,9 @@ func TestReadErrorRecyclesBuffer(t *testing.T) {
 		srv:   srv,
 		files: map[int32]*openFile{1: {obj: failObj{}, path: "/bad", flags: O_RDWR}},
 	}
+	req := readvReq(0, 1, 0, 4096)
 	gets0, puts0 := payloadPool.Balance()
-	resp := sess.read(&request{op: opRead, handle: 1, length: 4096, offset: 0})
+	resp := sess.readv(req)
 	if resp.status == statusOK {
 		t.Fatalf("read against failObj succeeded: %+v", resp)
 	}
@@ -145,8 +146,8 @@ func TestServeConnWriteFailureRecyclesResponse(t *testing.T) {
 	var script bytes.Buffer
 	reqs := []*request{
 		{op: opOpen, seq: 1, path: "/f", flags: O_RDWR | O_CREATE},
-		{op: opWrite, seq: 2, handle: 1, offset: 0, data: make([]byte, chunk)},
-		{op: opRead, seq: 3, handle: 1, offset: 0, length: chunk},
+		writevReq(2, 1, 0, make([]byte, chunk)),
+		readvReq(3, 1, 0, chunk),
 	}
 	for _, r := range reqs {
 		if err := writeRequest(&script, r); err != nil {

@@ -103,7 +103,7 @@ func TestEncodeWritevMergesContiguousRuns(t *testing.T) {
 		{off: 90, data: []byte("ee")},  // backward jump: new run
 	}
 	payload := sentWritev(t, segs)
-	got, err := decodeWritev(payload)
+	got, err := decodeWritev(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +125,19 @@ func TestEncodeWritevMergesContiguousRuns(t *testing.T) {
 
 func TestDecodeWritevMalformed(t *testing.T) {
 	// A frame claiming one 4-byte segment but carrying only 2 payload bytes.
-	short := make([]byte, writevHdrSize+writevSegSize+2)
+	short := make([]byte, vecHdrSize+vecEntrySize+2)
 	binary.BigEndian.PutUint32(short[0:], 1)
-	binary.BigEndian.PutUint64(short[writevHdrSize:], 0)
-	binary.BigEndian.PutUint32(short[writevHdrSize+8:], 4)
+	binary.BigEndian.PutUint64(short[vecHdrSize:], 0)
+	binary.BigEndian.PutUint32(short[vecHdrSize+8:], 4)
 
 	// A segment with a negative offset.
-	negOff := make([]byte, writevHdrSize+writevSegSize+1)
+	negOff := make([]byte, vecHdrSize+vecEntrySize+1)
 	binary.BigEndian.PutUint32(negOff[0:], 1)
-	binary.BigEndian.PutUint64(negOff[writevHdrSize:], ^uint64(0))
-	binary.BigEndian.PutUint32(negOff[writevHdrSize+8:], 1)
+	binary.BigEndian.PutUint64(negOff[vecHdrSize:], ^uint64(0))
+	binary.BigEndian.PutUint32(negOff[vecHdrSize+8:], 1)
 
 	// A count far larger than the frame could hold.
-	hugeCount := make([]byte, writevHdrSize)
+	hugeCount := make([]byte, vecHdrSize)
 	binary.BigEndian.PutUint32(hugeCount[0:], 1<<30)
 
 	cases := []struct {
@@ -152,7 +152,7 @@ func TestDecodeWritevMalformed(t *testing.T) {
 		{"negative offset", negOff},
 	}
 	for _, c := range cases {
-		if _, err := decodeWritev(c.b); !errors.Is(err, ErrInvalid) {
+		if _, err := decodeWritev(c.b, nil); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: err = %v, want ErrInvalid", c.name, err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestWritevRoundTripUnmerged(t *testing.T) {
 		{off: 0, data: []byte{2, 3}},
 	}
 	payload := sentWritev(t, segs)
-	got, err := decodeWritev(payload)
+	got, err := decodeWritev(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,9 @@ func TestWritevRoundTripUnmerged(t *testing.T) {
 }
 
 // TestNegativeOffsetRejectedByServer: offsets are absolute on every data op,
-// so a negative one names no bytes. A raw opRead/opWrite carrying one gets
-// an ErrInvalid status, the file is untouched, and the connection stays up.
+// so a negative one names no bytes. A raw one-entry opWritev/opReadv
+// carrying one gets an ErrInvalid status, the file is untouched, and the
+// connection stays up.
 func TestNegativeOffsetRejectedByServer(t *testing.T) {
 	_, conn := startPair(t)
 	f, err := conn.Open("/neg", O_RDWR|O_CREATE, "")
@@ -193,14 +194,14 @@ func TestNegativeOffsetRejectedByServer(t *testing.T) {
 	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err = conn.call(&request{op: opWrite, handle: f.handle, offset: -1, data: []byte("XX")}, nil)
+	_, err = conn.call(writevReq(0, f.handle, -1, []byte("XX")), nil)
 	if !errors.Is(err, ErrInvalid) {
-		t.Fatalf("opWrite at offset -1 = %v, want ErrInvalid", err)
+		t.Fatalf("opWritev at offset -1 = %v, want ErrInvalid", err)
 	}
 	buf := make([]byte, 5)
-	_, err = conn.call(&request{op: opRead, handle: f.handle, offset: -1, length: 5}, [][]byte{buf})
+	_, err = conn.call(readvReq(0, f.handle, -1, 5), [][]byte{buf})
 	if !errors.Is(err, ErrInvalid) {
-		t.Fatalf("opRead at offset -1 = %v, want ErrInvalid", err)
+		t.Fatalf("opReadv at offset -1 = %v, want ErrInvalid", err)
 	}
 	if _, err := conn.Ping(); err != nil {
 		t.Fatalf("ping after rejected offsets: %v", err)
@@ -215,8 +216,8 @@ func TestNegativeOffsetRejectedByServer(t *testing.T) {
 // and ReadAtVec do.
 func TestNegativeOffsetRejectedClientSide(t *testing.T) {
 	conn, f := scriptedFile(t, func(req *request) *response {
-		if req.op == opRead || req.op == opWrite {
-			t.Errorf("op %s at offset %d reached the server", opName(req.op), req.offset)
+		if req.op == opReadv || req.op == opWritev {
+			t.Errorf("op %s with a negative offset reached the server", opName(req.op))
 		}
 		return &response{}
 	})
@@ -228,5 +229,29 @@ func TestNegativeOffsetRejectedClientSide(t *testing.T) {
 	}
 	if _, err := conn.Ping(); err != nil {
 		t.Fatalf("ping after rejected offsets: %v", err)
+	}
+}
+
+// TestRetiredOpcodesRefused: opcodes 5 and 6, the scalar read and write
+// before a contiguous transfer became a one-entry vector, draw an
+// ErrInvalid status reply like any unknown opcode, and the connection
+// stays up.
+func TestRetiredOpcodesRefused(t *testing.T) {
+	_, conn := startPair(t)
+	f, err := conn.Open("/retired", O_RDWR|O_CREATE, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []uint8{5, 6} {
+		_, err := conn.call(&request{op: op, handle: f.handle, length: 5, data: []byte("hello")}, nil)
+		if !errors.Is(err, ErrInvalid) {
+			t.Fatalf("opcode %d = %v, want ErrInvalid", op, err)
+		}
+		if _, err := conn.Ping(); err != nil {
+			t.Fatalf("ping after opcode %d: %v", op, err)
+		}
+	}
+	if n, err := f.WriteAt([]byte("hello"), 0); n != 5 || err != nil {
+		t.Fatalf("write after retired opcodes = %d, %v", n, err)
 	}
 }

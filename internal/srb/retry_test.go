@@ -222,7 +222,7 @@ func TestTransportErrorsWrapped(t *testing.T) {
 func TestWriteZeroByteAckSurfacesShortWrite(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	scriptedConn(sEnd, func(req *request) *response {
-		if req.op == opWrite {
+		if req.op == opWritev {
 			return &response{value: 0} // "success", zero bytes written
 		}
 		return &response{}

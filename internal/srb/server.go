@@ -393,9 +393,8 @@ func rateLimitedResp(retryAfter time.Duration) *response {
 
 // admitTenant charges req against the session tenant's token buckets.
 // Anonymous sessions (no registry attached) are unlimited. The charge is
-// one op plus the request's byte cost: payload bytes carried in (writes)
-// plus bytes requested back (reads), so a tenant's byte bucket meters both
-// directions of its data flow.
+// one op plus the bytes the request moves (bytesMoved), so a tenant's byte
+// bucket meters both directions of its data flow.
 func (s *Server) admitTenant(sess *session, req *request) (bool, *response) {
 	t := sess.tenant
 	if t == nil {
@@ -405,16 +404,26 @@ func (s *Server) admitTenant(sess *session, req *request) (bool, *response) {
 	if reg == nil {
 		return true, nil
 	}
-	cost := int64(len(req.data))
-	if req.length > 0 {
-		cost += req.length
-	}
-	ok, wait := t.Admit(cost, reg.Now())
+	ok, wait := t.Admit(bytesMoved(req), reg.Now())
 	if ok {
 		return true, nil
 	}
 	s.countRateLimited()
 	return false, rateLimitedResp(wait)
+}
+
+// bytesMoved is a request's byte cost: a write pays its frame payload, a
+// read the sum of its ranges, which the request states in its length word
+// and readv checks against its table. Every other op pays nothing; a
+// truncate's length is a file size, not a transfer.
+func bytesMoved(req *request) int64 {
+	switch req.op {
+	case opWritev:
+		return int64(len(req.data))
+	case opReadv:
+		return min(max(req.length, 0), MaxChunk)
+	}
+	return 0
 }
 
 // shedConn answers exactly one request with ErrServerBusy and hangs up:
@@ -715,10 +724,6 @@ func (ss *session) dispatch(req *request) *response {
 		return ss.open(req)
 	case opClose:
 		return ss.close(req)
-	case opRead:
-		return ss.read(req)
-	case opWrite:
-		return ss.write(req)
 	case opWritev:
 		return ss.writev(req)
 	case opReadv:
@@ -945,69 +950,12 @@ func (ss *session) close(req *request) *response {
 	return &response{}
 }
 
-// read serves an explicit-offset read. Offsets are absolute on every data
-// op: the server keeps no file pointer, so a replayed request names the
-// same bytes as the original.
-func (ss *session) read(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
-	}
-	if f.flags&O_ACCESS == O_WRONLY {
-		return errResp(fmt.Errorf("%w: file not open for reading", ErrInvalid))
-	}
-	n := req.length
-	if n < 0 || n > MaxChunk {
-		return errResp(fmt.Errorf("%w: read length %d", ErrInvalid, n))
-	}
-	if req.offset < 0 {
-		return errResp(fmt.Errorf("%w: negative read offset", ErrInvalid))
-	}
-	buf := getBuf(int(n))
-	rn, err := f.obj.ReadAt(buf, req.offset)
-	if err != nil && err != io.EOF {
-		putBuf(buf) // the error response carries no data; recycle now
-		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
-	}
-	atomic.AddInt64(&ss.srv.stats.BytesRead, int64(rn))
-	return &response{value: int64(rn), data: buf[:rn]}
-}
-
-func (ss *session) write(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
-	}
-	if f.flags&O_ACCESS == O_RDONLY {
-		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
-	}
-	off := req.offset
-	if off < 0 {
-		return errResp(fmt.Errorf("%w: negative write offset", ErrInvalid))
-	}
-	// Quota pre-check before the bytes reach storage: a refused write must
-	// leave no stored-but-unaccounted data behind.
-	if err := ss.srv.cat.CheckGrow(f.path, off+int64(len(req.data))); err != nil {
-		return errResp(mapCatErr(err))
-	}
-	n, err := f.obj.WriteAt(req.data, off)
-	if n > 0 {
-		// Bytes the store accepted are stored even when it also failed:
-		// the catalog size and the owner's quota usage must cover them.
-		ss.srv.cat.GrowSize(f.path, off+int64(n))
-		atomic.AddInt64(&ss.srv.stats.BytesWritten, int64(n))
-	}
-	if err != nil {
-		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
-	}
-	return &response{value: int64(n)}
-}
-
-// writev applies a vectored write: several absolute-offset segments in one
-// request. Malformed vector framing is an ErrInvalid status reply — the
-// wire frame itself parsed fine, so the connection survives. Each segment
-// is an idempotent WriteAt, so a replay after a mid-vector transport
-// failure is safe.
+// writev serves every write: one or more absolute-offset segments in one
+// request (the server keeps no file pointer, so a replayed request names
+// the same bytes as the original). Malformed vector framing is an
+// ErrInvalid status reply — the wire frame itself parsed fine, so the
+// connection survives. Each segment is an idempotent WriteAt, so a replay
+// after a mid-vector transport failure is safe.
 func (ss *session) writev(req *request) *response {
 	f, er := ss.lookupHandle(req.handle)
 	if er != nil {
@@ -1016,7 +964,8 @@ func (ss *session) writev(req *request) *response {
 	if f.flags&O_ACCESS == O_RDONLY {
 		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
 	}
-	segs, err := decodeWritev(req.data)
+	var one [1]writeSeg
+	segs, err := decodeWritev(req.data, one[:])
 	if err != nil {
 		return errResp(err)
 	}
@@ -1061,11 +1010,11 @@ func (ss *session) writev(req *request) *response {
 	return &response{value: total}
 }
 
-// readv serves a vectored read: several absolute-offset ranges gathered into
-// one reply. Ranges are filled front to back; the first range that comes up
-// short (EOF) ends the reply, so the client's sequential scatter is
-// unambiguous. Malformed vector framing is an ErrInvalid status reply — the
-// wire frame itself parsed fine, so the connection survives.
+// readv serves every read: one or more absolute-offset ranges gathered
+// into one reply. Ranges are filled front to back; the first range that
+// comes up short (EOF) ends the reply, so the client's sequential scatter
+// is unambiguous. Malformed vector framing is an ErrInvalid status reply —
+// the wire frame itself parsed fine, so the connection survives.
 func (ss *session) readv(req *request) *response {
 	f, er := ss.lookupHandle(req.handle)
 	if er != nil {
@@ -1074,13 +1023,19 @@ func (ss *session) readv(req *request) *response {
 	if f.flags&O_ACCESS == O_WRONLY {
 		return errResp(fmt.Errorf("%w: file not open for reading", ErrInvalid))
 	}
-	segs, err := decodeReadv(req.data)
+	var one [1]readSeg
+	segs, err := decodeReadv(req.data, one[:])
 	if err != nil {
 		return errResp(err)
 	}
 	var want int
 	for _, sg := range segs {
 		want += sg.n
+	}
+	if req.length != int64(want) {
+		// The stated length is what admitTenant charged; it must be
+		// what the reply can carry.
+		return errResp(fmt.Errorf("%w: readv length %d, ranges sum to %d", ErrInvalid, req.length, want))
 	}
 	buf := getBuf(want)
 	total := 0

@@ -382,6 +382,44 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// TestContiguousFrameCounts pins the frames a contiguous transfer costs on
+// one connection: one request per MaxChunk of data, the one-entry table
+// riding along, so a full-chunk segment is one frame rather than a chunk
+// and a straggler.
+func TestContiguousFrameCounts(t *testing.T) {
+	srv, conn := startPair(t)
+	f, err := conn.Open("/frames", O_RDWR|O_CREATE, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 2*MaxChunk+1)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	got := make([]byte, len(p))
+	for _, tc := range []struct {
+		name   string
+		frames int64
+		n      int
+		call   func() (int, error)
+	}{
+		{"WriteAt", 3, len(p), func() (int, error) { return f.WriteAt(p, 0) }},
+		{"ReadAt", 3, len(p), func() (int, error) { return f.ReadAt(got, 0) }},
+		{"WriteAtVec", 1, MaxChunk, func() (int, error) { return f.WriteAtVec([]WriteSeg{{Off: 0, Data: p[:MaxChunk]}}) }},
+	} {
+		before := srv.Stats().Requests
+		if n, err := tc.call(); n != tc.n || err != nil {
+			t.Fatalf("%s = %d, %v; want %d", tc.name, n, err, tc.n)
+		}
+		if d := srv.Stats().Requests - before; d != tc.frames {
+			t.Errorf("%s of %d bytes cost %d requests, want %d", tc.name, tc.n, d, tc.frames)
+		}
+	}
+	if !bytes.Equal(got, p) {
+		t.Fatal("ReadAt returned other bytes than WriteAt stored")
+	}
+}
+
 // fillingObj stores at most room bytes of each WriteAt and fails the rest,
 // like a device that fills mid-write: it returns n > 0 with an error.
 type fillingObj struct {
@@ -409,7 +447,7 @@ func TestPartialWriteIsAccounted(t *testing.T) {
 		req           *request
 		size, written int64 // stored end of file and bytes stored, with room = 40
 	}{
-		{"write", &request{op: opWrite, handle: 1, data: make([]byte, 100)}, 40, 40},
+		{"write", writevReq(0, 1, 0, make([]byte, 100)), 40, 40},
 		{"writev", &request{op: opWritev, handle: 1, data: packWritev([]writeSeg{
 			{off: 0, data: make([]byte, 30)},
 			{off: 50, data: make([]byte, 100)},

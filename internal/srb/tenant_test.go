@@ -219,6 +219,51 @@ func TestRateLimitShedAndRetryAfter(t *testing.T) {
 	}
 }
 
+// TestTenantByteCharge: the byte bucket is charged the bytes an op moves. A
+// vectored read pays the sum of its ranges, not its table; a truncate pays
+// nothing, so a tenant may truncate beyond its bucket depth.
+func TestTenantByteCharge(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	srv, reg := tenantServer(func() time.Time { return now }, map[string]tenant.Limits{
+		"meter": {BytesPerSec: 1000, Burst: 1}, // depth 1000 bytes, ops unlimited
+	})
+	conn, err := connectAuth(t, srv, Credentials{TenantID: "meter", Key: tenantKey("meter")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f, err := conn.Open("/metered", O_RDWR|O_CREATE, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 600), 0); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(time.Second) // refill to the full depth
+
+	buf := make([]byte, 600)
+	if _, err := f.ReadAtVec([]ReadSeg{{Off: 0, Buf: buf[:300]}, {Off: 400, Buf: buf[300:500]}}); err != nil {
+		t.Fatalf("500-byte vectored read: %v", err)
+	}
+	// 500 bytes are left: one more byte than that is refused, and
+	// exactly that much drains the bucket.
+	if _, err := f.ReadAt(buf[:501], 0); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("501-byte read after a 500-byte vectored read = %v, want ErrRateLimited", err)
+	}
+	if _, err := f.ReadAt(buf[:500], 0); err != nil {
+		t.Fatalf("500-byte read: %v", err)
+	}
+	if err := f.Truncate(5000); err != nil {
+		t.Fatalf("truncate beyond the bucket depth on an empty bucket: %v", err)
+	}
+	if fi, err := f.Stat(); err != nil || fi.Size != 5000 {
+		t.Fatalf("stat after truncate = %+v, %v", fi, err)
+	}
+	if ts := reg.StatsAll()["meter"]; ts.ShedOps != 1 {
+		t.Fatalf("tenant stats = %+v, want 1 shed", ts)
+	}
+}
+
 func TestQuotaExceededTerminal(t *testing.T) {
 	srv, _ := tenantServer(nil, map[string]tenant.Limits{
 		"boxed": {QuotaBytes: 16},

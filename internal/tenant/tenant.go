@@ -64,8 +64,9 @@ func Proof(key []byte, tenantID, user string) []byte {
 type Limits struct {
 	// OpsPerSec refills the operation bucket (each request costs one op).
 	OpsPerSec float64
-	// BytesPerSec refills the byte bucket (writes cost their payload,
-	// reads their requested length).
+	// BytesPerSec refills the byte bucket. A request is charged the bytes
+	// it moves: a write its frame payload, a read the sum of its ranges;
+	// every other op, truncate included, costs nothing.
 	BytesPerSec float64
 	// Burst scales both bucket depths: a tenant may consume Burst seconds
 	// of its rate in one spike. Zero or negative defaults to one second.
