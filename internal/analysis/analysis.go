@@ -9,8 +9,7 @@
 //   - guardedfield: struct fields annotated "// guarded by <mu>" may only
 //     be accessed by functions that lock that mutex.
 //   - wireproto: every opcode declared in proto.go must appear in both the
-//     client dispatch and the server handler switch, and header
-//     encode/decode offsets must agree byte for byte.
+//     client dispatch and the server handler switch.
 //   - errdrop: error results of write-path io/net/srb/storage calls must
 //     not be discarded.
 //   - determinism: packages with a clock.go must route wall-clock and
@@ -19,17 +18,18 @@
 // On top of those per-function rules sits a small interprocedural layer
 // (summary.go): a package-level call graph with one summary per function
 // — locks acquired, parameters released or Ended, pool-owned returns —
-// propagated to a fixpoint. Five rules consume it:
+// propagated to a fixpoint. Three rules consume it:
 //
 //   - pooluse: every getBuf reaches exactly one putBuf on every path; no
 //     use-after-put, double put, or escape into long-lived state.
 //   - lockorder: the package-wide mutex acquisition graph (including
 //     acquisitions made through calls) must be cycle-free.
 //   - spanbalance: every trace span Begin has an End on all paths.
-//   - retryclass: every Err* value and status* wire code is classified in
-//     the Retryable/status tables.
-//   - goexit: every goroutine in client/server/engine packages has a
-//     provable exit path (conn close, channel, context, shutdown flag).
+//
+// Invariants a test or the data's own structure can hold are not rules:
+// the wire header layout (srb's TestHeaderRoundTrip), the classification
+// of srb errors (srb's error table) and goroutine exit (the engine and
+// chaos leak checks).
 //
 // One path-sensitive statement walker (walk.go) serves the lock rules and
 // the ownership rules: lockheld and the summary builder share one
@@ -95,8 +95,6 @@ func Analyzers() []Analyzer {
 		pooluse{},
 		lockorder{},
 		spanbalance{},
-		retryclass{},
-		goexit{},
 	}
 }
 

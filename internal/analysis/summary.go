@@ -8,29 +8,29 @@ import (
 	"sort"
 )
 
-// This file builds the interprocedural substrate the PR-6 rules stand on:
-// a package-level call graph plus one summary per function body recording
-// the facts that must survive a call boundary — which locks it acquires
-// (directly and transitively), which parameters it releases back to the
-// buffer pool, which span parameters it Ends, and whether its return value
-// is pool-owned. Summaries are computed once per package and cached on the
-// Package, so the five rules that consume them share one pass.
+// This file builds the interprocedural substrate: a package-level call
+// graph plus one summary per function body recording the facts that must
+// survive a call boundary — which locks it acquires (directly and
+// transitively), which parameters it releases back to the buffer pool,
+// which span parameters it Ends, and whether its return value is
+// pool-owned. Summaries are computed once per package and cached on the
+// Package, so the three rules that consume them (pooluse, lockorder and
+// spanbalance) share one pass.
 
 // funcSummary is the per-function fact sheet. Function literals get
-// summaries too (they hold lock facts for lockorder and goexit), but only
-// declared functions are reachable through the call graph.
+// summaries too (they hold lock facts for lockorder), but only declared
+// functions are reachable through the call graph.
 type funcSummary struct {
 	fn   *types.Func    // nil for function literals
-	decl *ast.FuncDecl  // nil for function literals
 	body *ast.BlockStmt // the analyzed body
 	name string         // display name ("(*Conn).call", "func literal")
 
-	// calls are the statically resolved same-package call sites, in
-	// document order. Calls through interfaces, function values and method
-	// values are unresolvable without whole-program analysis and are
-	// deliberately absent: every consumer treats a missing edge as
+	// calls are the statically resolved same-package callees, in document
+	// order of their call sites. Calls through interfaces, function values
+	// and method values are unresolvable without whole-program analysis
+	// and are deliberately absent: every consumer treats a missing edge as
 	// "unknown callee", never as "does nothing".
-	calls []callSite
+	calls []*types.Func
 
 	// acquires holds each mutex this body locks (by field/var identity).
 	acquires map[types.Object]bool
@@ -51,11 +51,6 @@ type funcSummary struct {
 	// there transfers ownership. Fixpoint-propagated.
 	releasesParams map[int]bool
 	endsParams     map[int]bool
-}
-
-type callSite struct {
-	callee *types.Func
-	call   *ast.CallExpr
 }
 
 type lockPair struct {
@@ -83,7 +78,7 @@ type pkgSummaries struct {
 	// lexically first acquisition's receiver expression).
 	lockNames map[types.Object]string
 
-	transMemo map[*types.Func]*map[types.Object]bool
+	transMemo map[*types.Func]map[types.Object]bool
 }
 
 // summaries builds (once) and returns the package's interprocedural facts.
@@ -99,7 +94,7 @@ func buildSummaries(p *Package) *pkgSummaries {
 		pkg:       p,
 		funcs:     map[*types.Func]*funcSummary{},
 		lockNames: map[types.Object]string{},
-		transMemo: map[*types.Func]*map[types.Object]bool{},
+		transMemo: map[*types.Func]map[types.Object]bool{},
 	}
 	ps.getBuf = ps.poolFunc("getBuf")
 	ps.putBuf = ps.poolFunc("putBuf")
@@ -119,7 +114,7 @@ func buildSummaries(p *Package) *pkgSummaries {
 				if fn == nil {
 					return
 				}
-				s.fn, s.decl = fn, decl
+				s.fn = fn
 				ps.funcs[fn] = s
 			}
 			ps.order = append(ps.order, s)
@@ -364,29 +359,21 @@ func (ps *pkgSummaries) bodyHandsOff(s *funcSummary, v *types.Var, via func(*ast
 }
 
 // transitiveAcquires returns every lock fn can take, directly or through
-// same-package callees.
+// same-package callees. The memo is seeded before descending, so recursion
+// terminates and a cycle contributes what is known so far.
 func (ps *pkgSummaries) transitiveAcquires(fn *types.Func) map[types.Object]bool {
-	return transitive(ps, ps.transMemo, fn,
-		func(s *funcSummary) map[types.Object]bool { return maps.Clone(s.acquires) },
-		func(acc *map[types.Object]bool, more map[types.Object]bool) { maps.Copy(*acc, more) })
-}
-
-// transitive folds own over fn and every same-package function it calls,
-// directly or not, combining with add. memo is seeded before descending,
-// so recursion terminates and a cycle contributes what is known so far.
-func transitive[T any](ps *pkgSummaries, memo map[*types.Func]*T, fn *types.Func, own func(*funcSummary) T, add func(*T, T)) T {
-	if got, ok := memo[fn]; ok {
-		return *got
+	if got, ok := ps.transMemo[fn]; ok {
+		return got
 	}
-	acc := new(T)
-	memo[fn] = acc
+	acc := map[types.Object]bool{}
+	ps.transMemo[fn] = acc
 	if s := ps.funcs[fn]; s != nil {
-		*acc = own(s)
-		for _, cs := range s.calls {
-			add(acc, transitive(ps, memo, cs.callee, own, add))
+		maps.Copy(acc, s.acquires)
+		for _, callee := range s.calls {
+			maps.Copy(acc, ps.transitiveAcquires(callee))
 		}
 	}
-	return *acc
+	return acc
 }
 
 // lockObject resolves a mutex receiver expression to its identity: the
@@ -446,7 +433,7 @@ func (b summaryLocks) visit(n ast.Node, held heldLocks[types.Object]) {
 	if _, ok := b.ps.funcs[fn]; !ok {
 		return
 	}
-	b.s.calls = append(b.s.calls, callSite{callee: fn, call: call})
+	b.s.calls = append(b.s.calls, fn)
 	if len(held) > 0 {
 		objs := make([]types.Object, 0, len(held))
 		for obj := range held {

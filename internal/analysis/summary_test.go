@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The summary builder is the substrate five rules stand on, so its edge
+// The summary builder is the substrate three rules stand on, so its edge
 // cases get direct tests: recursion must terminate, dynamic dispatch must
 // yield no call edge (unknown callee, not "does nothing"), and the
 // ownership fixpoints must flow through wrapper chains.

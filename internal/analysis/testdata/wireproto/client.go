@@ -1,28 +1,6 @@
 package wiretest
 
-import "encoding/binary"
-
 // issue references the client-side opcodes.
 func issue() []int {
 	return []int{opPing, opRead, opNoServer}
-}
-
-// encodeGood and decodeGood agree byte for byte: [0:4] BE, [4:6] BE.
-func encodeGood(op uint32, n uint16) []byte {
-	var hdr [goodHdrSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], op)
-	binary.BigEndian.PutUint16(hdr[4:], n)
-	return hdr[:]
-}
-
-// encodeBad seeds three layout mistakes against decodeBad:
-//   - [2:6] overlaps [0:4] and is never read by the decoder,
-//   - [8:10] is written little-endian but read big-endian,
-//   - the layout ends at byte 10, not badHdrSize (12).
-func encodeBad(op, x uint32, n uint16) []byte {
-	var hdr [badHdrSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], op)
-	binary.BigEndian.PutUint32(hdr[2:], x)
-	binary.LittleEndian.PutUint16(hdr[8:], n)
-	return hdr[:]
 }

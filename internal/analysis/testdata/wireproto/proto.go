@@ -1,5 +1,5 @@
-// Corpus for the wireproto rule: a miniature two-header protocol with
-// seeded wiring and layout mistakes.
+// Corpus for the wireproto rule: a miniature protocol with seeded wiring
+// mistakes.
 package wiretest
 
 // Opcodes. opPing and opRead are wired on both sides; opNoServer is sent
@@ -9,10 +9,4 @@ const (
 	opRead     = 2
 	opNoServer = 3 // violation: no server case
 	opNoClient = 4 // violation: never issued by the client
-)
-
-// Header sizes.
-const (
-	goodHdrSize = 6
-	badHdrSize  = 12
 )

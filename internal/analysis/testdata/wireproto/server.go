@@ -1,7 +1,5 @@
 package wiretest
 
-import "encoding/binary"
-
 // dispatch is the server switch; opNoServer is deliberately missing and
 // opNoClient deliberately present.
 func dispatch(op int) string {
@@ -14,21 +12,4 @@ func dispatch(op int) string {
 		return "orphan"
 	}
 	return "unknown"
-}
-
-func decodeGood(hdrBytes []byte) (uint32, uint16) {
-	var hdr [goodHdrSize]byte
-	copy(hdr[:], hdrBytes)
-	return binary.BigEndian.Uint32(hdr[0:]), binary.BigEndian.Uint16(hdr[4:])
-}
-
-// decodeBad reads [0:4] and [8:10] big-endian plus [10:12], which the
-// encoder never writes.
-func decodeBad(hdrBytes []byte) (uint32, uint16, uint16) {
-	var hdr [badHdrSize]byte
-	copy(hdr[:], hdrBytes)
-	op := binary.BigEndian.Uint32(hdr[0:])
-	n := binary.BigEndian.Uint16(hdr[8:])
-	tail := binary.BigEndian.Uint16(hdr[10:])
-	return op, n, tail
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -122,19 +121,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// constIntValue resolves e to an integer constant via the type checker,
-// reporting ok=false for non-constant expressions.
-func (p *Package) constIntValue(e ast.Expr) (int64, bool) {
-	if e == nil {
-		return 0, false
-	}
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(tv.Value))
 }
 
 // funcScope identifies the innermost function (declaration or literal) a

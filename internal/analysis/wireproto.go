@@ -1,47 +1,27 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// wireproto checks the SRB wire protocol for exhaustiveness and layout
-// consistency, in any package that declares opcode constants in a file
-// named proto.go:
-//
-//  1. Every opcode constant (an identifier matching ^op[A-Z]) must appear
-//     in a case clause of the server dispatch switch (server.go) AND be
-//     referenced by the client side (any other file). A new opcode wired
-//     into only one side is caught at the constant's declaration.
-//  2. Header encode/decode agreement: any function containing
-//     `var hdr [N]byte` (N a named constant) is classified as an encoder
-//     (binary.XxxEndian.PutUintM / hdr[i] = ... stores) or decoder
-//     (binary.XxxEndian.UintM / hdr[i] loads). For each header constant
-//     the encoder and decoder field layouts — the (offset, width,
-//     endianness) sets — must be identical, encoder fields must not
-//     overlap, and the layout must end exactly at N. Interior padding
-//     (e.g. alignment bytes neither side touches) is permitted.
+// wireproto checks the SRB wire protocol for exhaustiveness, in any
+// package that declares opcode constants in a file named proto.go: every
+// opcode constant (an identifier matching ^op[A-Z]) must appear in a case
+// clause of the server dispatch switch (server.go) AND be referenced by
+// the client side (any other file). A new opcode wired into only one side
+// is caught at the constant's declaration. The header layout is held by
+// the srb package's TestHeaderRoundTrip, not here.
 type wireproto struct{}
 
 func (wireproto) Name() string { return "wireproto" }
 func (wireproto) Doc() string {
-	return "opcodes must be handled by both protocol sides; header encode/decode offsets must agree"
+	return "every opcode must be handled by the server dispatch and issued by the client"
 }
 
 func (wireproto) Run(pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, checkOpcodes(pkg)...)
-	diags = append(diags, checkHeaders(pkg)...)
-	return diags
-}
-
-// --- opcode exhaustiveness ---
-
-func checkOpcodes(pkg *Package) []Diagnostic {
 	// Opcode constants declared in proto.go, in declaration order.
 	type opConst struct {
 		obj *types.Const
@@ -132,322 +112,4 @@ func checkOpcodes(pkg *Package) []Diagnostic {
 func isOpcodeName(name string) bool {
 	return len(name) > 2 && strings.HasPrefix(name, "op") &&
 		name[2] >= 'A' && name[2] <= 'Z'
-}
-
-// --- header layout agreement ---
-
-// fieldEntry is one fixed-offset header field touched by an encoder or
-// decoder.
-type fieldEntry struct {
-	off    int64
-	width  int64
-	endian string // "BigEndian", "LittleEndian", or "" for single bytes
-	pos    token.Pos
-}
-
-func (e fieldEntry) String() string {
-	return fmt.Sprintf("[%d:%d]", e.off, e.off+e.width)
-}
-
-// headerUse is one function's view of one header buffer.
-type headerUse struct {
-	fn      string
-	size    int64
-	reads   []fieldEntry
-	writes  []fieldEntry
-	declPos token.Pos
-}
-
-func checkHeaders(pkg *Package) []Diagnostic {
-	// Group header-using functions by the size constant of their buffer.
-	groups := map[types.Object][]*headerUse{}
-	var order []types.Object
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			uses := headerUsesIn(pkg, fd)
-			for sizeConst, use := range uses {
-				if _, seen := groups[sizeConst]; !seen {
-					order = append(order, sizeConst)
-				}
-				groups[sizeConst] = append(groups[sizeConst], use)
-			}
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Name() < order[j].Name() })
-
-	var diags []Diagnostic
-	for _, sizeConst := range order {
-		uses := groups[sizeConst]
-		var encoders, decoders []*headerUse
-		for _, u := range uses {
-			switch {
-			case len(u.writes) > 0 && len(u.reads) == 0:
-				encoders = append(encoders, u)
-			case len(u.reads) > 0 && len(u.writes) == 0:
-				decoders = append(decoders, u)
-			}
-		}
-		// Validate each encoder's layout on its own: no overlap, ends at
-		// the declared size.
-		for _, enc := range encoders {
-			diags = append(diags, checkLayout(pkg, enc, sizeConst)...)
-		}
-		// Cross-check every encoder/decoder pair over the same constant.
-		for _, enc := range encoders {
-			for _, dec := range decoders {
-				diags = append(diags, compareLayouts(pkg, enc, dec)...)
-			}
-		}
-	}
-	return diags
-}
-
-// headerUsesIn finds `var <buf> [N]byte` declarations in fd where N is a
-// named constant, and collects every fixed-offset load/store of each
-// buffer.
-func headerUsesIn(pkg *Package, fd *ast.FuncDecl) map[types.Object]*headerUse {
-	// Buffer variables by object, with their size constant.
-	bufs := map[*types.Var]types.Object{}
-	sizes := map[*types.Var]int64{}
-	decls := map[*types.Var]token.Pos{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok {
-			return true
-		}
-		at, ok := vs.Type.(*ast.ArrayType)
-		if !ok || at.Len == nil {
-			return true
-		}
-		lenID, ok := ast.Unparen(at.Len).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		sizeObj, ok := pkg.Info.Uses[lenID].(*types.Const)
-		if !ok {
-			return true
-		}
-		elem, ok := pkg.Info.TypeOf(at.Elt).(*types.Basic)
-		if !ok || elem.Kind() != types.Byte && elem.Kind() != types.Uint8 {
-			return true
-		}
-		size, ok := pkg.constIntValue(at.Len)
-		if !ok {
-			return true
-		}
-		for _, name := range vs.Names {
-			if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-				bufs[v] = sizeObj
-				sizes[v] = size
-				decls[v] = name.Pos()
-			}
-		}
-		return true
-	})
-	if len(bufs) == 0 {
-		return nil
-	}
-
-	out := map[types.Object]*headerUse{}
-	useOf := func(v *types.Var) *headerUse {
-		sizeObj := bufs[v]
-		u := out[sizeObj]
-		if u == nil {
-			u = &headerUse{fn: funcDeclName(fd), size: sizes[v], declPos: decls[v]}
-			out[sizeObj] = u
-		}
-		return u
-	}
-	bufVarOf := func(e ast.Expr) *types.Var {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || bufs[v] == nil {
-			return nil
-		}
-		return v
-	}
-
-	// Index-assignment LHS positions, so stores and loads of single bytes
-	// can be told apart.
-	assignedIndexes := map[*ast.IndexExpr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-				assignedIndexes[ix] = true
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			// binary.<Endian>.PutUintM(buf[off:], v) or
-			// binary.<Endian>.UintM(buf[off:]).
-			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			endian, width, isPut, ok := binaryEndianCall(pkg, sel)
-			if !ok || len(x.Args) == 0 {
-				return true
-			}
-			slice, ok := ast.Unparen(x.Args[0]).(*ast.SliceExpr)
-			if !ok {
-				return true
-			}
-			v := bufVarOf(slice.X)
-			if v == nil {
-				return true
-			}
-			off := int64(0)
-			if slice.Low != nil {
-				c, ok := pkg.constIntValue(slice.Low)
-				if !ok {
-					return true
-				}
-				off = c
-			}
-			entry := fieldEntry{off: off, width: width, endian: endian, pos: x.Pos()}
-			if isPut {
-				useOf(v).writes = append(useOf(v).writes, entry)
-			} else {
-				useOf(v).reads = append(useOf(v).reads, entry)
-			}
-		case *ast.IndexExpr:
-			v := bufVarOf(x.X)
-			if v == nil {
-				return true
-			}
-			off, ok := pkg.constIntValue(x.Index)
-			if !ok {
-				return true
-			}
-			entry := fieldEntry{off: off, width: 1, pos: x.Pos()}
-			if assignedIndexes[x] {
-				useOf(v).writes = append(useOf(v).writes, entry)
-			} else {
-				useOf(v).reads = append(useOf(v).reads, entry)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// binaryEndianCall recognizes encoding/binary byte-order method calls and
-// returns the endianness, field width and whether it is a store.
-func binaryEndianCall(pkg *Package, sel *ast.SelectorExpr) (endian string, width int64, isPut, ok bool) {
-	inner, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel {
-		return "", 0, false, false
-	}
-	obj := pkg.Info.Uses[inner.Sel]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "encoding/binary" {
-		return "", 0, false, false
-	}
-	endian = inner.Sel.Name // BigEndian / LittleEndian / NativeEndian
-	name := sel.Sel.Name
-	isPut = strings.HasPrefix(name, "Put")
-	switch strings.TrimPrefix(name, "Put") {
-	case "Uint16":
-		width = 2
-	case "Uint32":
-		width = 4
-	case "Uint64":
-		width = 8
-	default:
-		return "", 0, false, false
-	}
-	return endian, width, isPut, true
-}
-
-// checkLayout validates one encoder's field set: no overlapping fields,
-// and the last field must end exactly at the declared header size.
-func checkLayout(pkg *Package, enc *headerUse, sizeConst types.Object) []Diagnostic {
-	var diags []Diagnostic
-	entries := dedupe(enc.writes)
-	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
-		if cur.off < prev.off+prev.width {
-			diags = append(diags, pkg.diag(cur.pos, "wireproto",
-				"%s: header field %s overlaps field %s", enc.fn, cur, prev))
-		}
-	}
-	if len(entries) > 0 {
-		last := entries[len(entries)-1]
-		if end := last.off + last.width; end != enc.size {
-			diags = append(diags, pkg.diag(enc.declPos, "wireproto",
-				"%s: header layout ends at byte %d but %s is %d", enc.fn, end, sizeConst.Name(), enc.size))
-		}
-	}
-	return diags
-}
-
-// compareLayouts cross-checks an encoder and a decoder of the same header
-// constant: both must touch exactly the same (offset, width) fields with
-// the same byte order.
-func compareLayouts(pkg *Package, enc, dec *headerUse) []Diagnostic {
-	var diags []Diagnostic
-	w := dedupe(enc.writes)
-	r := dedupe(dec.reads)
-	key := func(e fieldEntry) string { return fmt.Sprintf("%d:%d", e.off, e.width) }
-	written := map[string]fieldEntry{}
-	for _, e := range w {
-		written[key(e)] = e
-	}
-	read := map[string]fieldEntry{}
-	for _, e := range r {
-		read[key(e)] = e
-	}
-	for _, e := range w {
-		other, ok := read[key(e)]
-		if !ok {
-			diags = append(diags, pkg.diag(e.pos, "wireproto",
-				"%s writes header field %s which %s never reads at that offset/width", enc.fn, e, dec.fn))
-			continue
-		}
-		if e.endian != "" && other.endian != "" && e.endian != other.endian {
-			diags = append(diags, pkg.diag(e.pos, "wireproto",
-				"%s writes header field %s as %s but %s reads it as %s", enc.fn, e, e.endian, dec.fn, other.endian))
-		}
-	}
-	for _, e := range r {
-		if _, ok := written[key(e)]; !ok {
-			diags = append(diags, pkg.diag(e.pos, "wireproto",
-				"%s reads header field %s which %s never writes at that offset/width", dec.fn, e, enc.fn))
-		}
-	}
-	return diags
-}
-
-// dedupe sorts entries by offset and collapses duplicates (a decoder may
-// legitimately read the same byte twice, e.g. once to validate and once to
-// report it).
-func dedupe(entries []fieldEntry) []fieldEntry {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].off != entries[j].off {
-			return entries[i].off < entries[j].off
-		}
-		return entries[i].width < entries[j].width
-	})
-	var out []fieldEntry
-	for _, e := range entries {
-		if len(out) > 0 && out[len(out)-1].off == e.off && out[len(out)-1].width == e.width {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,7 @@ func TestEngineDrain(t *testing.T) {
 }
 
 func TestEngineClose(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(2)
 	var done atomic.Int64
 	for i := 0; i < 5; i++ {
@@ -194,6 +196,13 @@ func TestEngineClose(t *testing.T) {
 	}
 	// Close is idempotent.
 	e.Close()
+	// The I/O threads have exited, not just gone idle.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewEngine: an I/O thread did not exit",
+				runtime.NumGoroutine(), before)
+		}
+	}
 }
 
 func TestEngineDoneChannel(t *testing.T) {

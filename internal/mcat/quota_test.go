@@ -32,7 +32,7 @@ func mutateOwned(t *testing.T, c *Catalog) {
 	must(c.SetSize("/b", 500))
 	must(c.SetSize("/b", 200)) // shrink refunds
 	must(c.SetSize("/z", 77))
-	must(c.SetSize("/anon", 1 << 20))
+	must(c.SetSize("/anon", 1<<20))
 	must(c.Remove("/b")) // remove refunds the rest
 }
 

@@ -175,8 +175,10 @@ func Dial(addr, user string) (*Conn, error) {
 	return NewConn(c, user)
 }
 
-// ErrConnClosed is returned for calls on a closed client connection.
-var ErrConnClosed = fmt.Errorf("srb: connection closed")
+// ErrConnClosed is returned for calls on a closed client connection. It
+// is transient: the call raced a deliberate local Close, the operation
+// never completed, and a replay elsewhere is safe.
+var ErrConnClosed = newErr("srb: connection closed", noStatus, transient)
 
 // errWatchdogSevered is the failure of a connection the op-deadline
 // watchdog cut.

@@ -169,18 +169,24 @@ func TestServeConnWriteFailureRecyclesResponse(t *testing.T) {
 	waitPoolBalanced(t, gets0, puts0, 2)
 }
 
-// TestRetryTablesMatchBehavior pins Retryable's answer to membership in
-// the explicit classification tables the retryclass lint rule checks, so
-// the tables cannot drift from behavior.
+// TestRetryTablesMatchBehavior pins Retryable and both status mappings to
+// every row of the one error table, so behavior cannot drift from it.
 func TestRetryTablesMatchBehavior(t *testing.T) {
-	for _, err := range retryTransient {
-		if !Retryable(err) {
-			t.Errorf("Retryable(%v) = false, but it is in retryTransient", err)
+	for _, r := range errTable {
+		if Retryable(r.err) != r.retryable {
+			t.Errorf("Retryable(%v) = %v, but its row says %v", r.err, !r.retryable, r.retryable)
 		}
-	}
-	for _, err := range retryTerminal {
-		if Retryable(err) {
-			t.Errorf("Retryable(%v) = true, but it is in retryTerminal", err)
+		if r.status == noStatus {
+			if st, _ := errToStatus(r.err); st != statusIO {
+				t.Errorf("errToStatus(%v) = %d, want the statusIO fallback", r.err, st)
+			}
+			continue
+		}
+		if st, _ := errToStatus(r.err); st != r.status {
+			t.Errorf("errToStatus(%v) = %d, but its row says %d", r.err, st, r.status)
+		}
+		if back := statusToErr(r.status, "", 0); !errors.Is(back, r.err) {
+			t.Errorf("statusToErr(%d) = %v, but its row says %v", r.status, back, r.err)
 		}
 	}
 	if Retryable(nil) {

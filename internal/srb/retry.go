@@ -3,7 +3,6 @@ package srb
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -13,13 +12,13 @@ import (
 // ErrTimeout marks an operation that exceeded its per-operation deadline.
 // The connection it fired on is dead (the watchdog severs it to unblock the
 // reader), so the error is retryable — on a fresh connection.
-var ErrTimeout = errors.New("srb: operation timed out")
+var ErrTimeout = newErr("srb: operation timed out", noStatus, transient)
 
 // ErrTransport wraps any failure of the wire itself — a broken TCP stream,
 // a connection reset, an unexpected EOF mid-response. Transport errors are
 // sticky on their connection and retryable on a new one, in contrast to
 // server status errors (ErrNotFound, ErrPerm, ...) which are terminal.
-var ErrTransport = errors.New("srb: transport failure")
+var ErrTransport = newErr("srb: transport failure", noStatus, transient)
 
 // RetryPolicy describes how the client reacts to transient failures:
 // how many times one logical operation may be attempted, how long to back
@@ -107,73 +106,30 @@ func (p RetryPolicy) BackoffFor(retry int, err error) time.Duration {
 	return d
 }
 
-// retryTransient is the explicit list of errors whose operation can be
-// reissued:
-//
-//   - ErrServerBusy: overload shedding; the server refused the request
-//     without starting it, so a backed-off replay is always safe — and,
-//     unlike transport errors, it does not require a fresh connection.
-//   - ErrTimeout: the per-operation deadline fired and the watchdog
-//     severed the connection; retryable on a fresh one.
-//   - ErrTransport: the wire itself failed mid-exchange; sticky on its
-//     connection, retryable on a new one.
-//   - ErrConnClosed / ErrServerClosed: the call raced a deliberate local
-//     Close or a server drain; the operation never completed and a replay
-//     elsewhere is safe.
-//   - ErrRateLimited: per-tenant fair-share shedding; like ErrServerBusy
-//     the request was refused before it started, so replay is safe. The
-//     response's retry-after hint is honored as a backoff floor by
-//     RetryPolicy.BackoffFor.
-var retryTransient = []error{
-	ErrServerBusy,
-	ErrRateLimited,
-	ErrTimeout,
-	ErrTransport,
-	ErrConnClosed,
-	ErrServerClosed,
-}
-
-// retryTerminal is the explicit list of errors where replay cannot help:
-// definitive server statements (ENOENT, EEXIST, permission, protocol
-// violations), semantic short reads (io.EOF is a result, not a failure —
-// transport EOFs are wrapped in ErrTransport and never reach this
-// comparison), and short writes the server acknowledged without error
-// (e.g. a full device), where blind replay would likely loop.
-// ErrAuthFailed is terminal because the server hangs up after sending it
-// and the same credentials will fail the same way; ErrQuotaExceeded because
-// replaying a write cannot shrink the tenant's stored bytes.
-var retryTerminal = []error{
-	ErrNotFound, ErrExists, ErrIsDir, ErrNotDir, ErrBadHandle,
-	ErrInvalid, ErrNotEmpty, ErrPerm, ErrIO, ErrProtocol,
-	ErrAuthFailed, ErrQuotaExceeded,
-	io.EOF, io.ErrShortWrite,
-}
-
-// Retryable classifies an error from the client stack: true for transient
-// failures whose operation can safely be reissued (see retryTransient),
-// false for terminal ones (see retryTerminal).
+// Retryable classifies an error from the client stack by its row in the
+// srb error table (errTable): true for transient failures whose operation
+// can safely be reissued, false for terminal ones. An error that matches
+// rows of both classes is transient.
 //
 // Unknown errors — raw net errors from a dialer, simulator failures —
 // default to retryable: the reconnect budget bounds the damage, and
 // misclassifying a transient fault as terminal loses a recoverable
-// request. Every srb error constant must appear in one of the two tables;
-// the retryclass lint rule enforces that, so a newly added error cannot
+// request. Every srb error is declared with its row, so none can
 // silently inherit the default.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	for _, transient := range retryTransient {
-		if errors.Is(err, transient) {
-			return true
+	known := false
+	for _, r := range errTable {
+		if errors.Is(err, r.err) {
+			if r.retryable {
+				return true
+			}
+			known = true
 		}
 	}
-	for _, terminal := range retryTerminal {
-		if errors.Is(err, terminal) {
-			return false
-		}
-	}
-	return true
+	return !known
 }
 
 // Do is the client stack's one retry loop: it runs try until it succeeds,

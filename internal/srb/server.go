@@ -22,8 +22,9 @@ import (
 
 // ErrServerClosed is returned by Serve after Shutdown begins: the listener
 // stopped because the server was asked to, not because it failed
-// (net/http.ErrServerClosed style).
-var ErrServerClosed = errors.New("srb: server closed")
+// (net/http.ErrServerClosed style). A call that raced the drain never
+// completed, so it is transient: a replay elsewhere is safe.
+var ErrServerClosed = newErr("srb: server closed", noStatus, transient)
 
 // ServerStats counts server activity; all fields are read with Snapshot.
 type ServerStats struct {

@@ -725,15 +725,12 @@ func TestResponseSeqMismatch(t *testing.T) {
 }
 
 func TestStatusErrorMapping(t *testing.T) {
-	// Every status code round-trips err -> status -> err.
-	errs := []error{ErrNotFound, ErrExists, ErrIsDir, ErrNotDir,
-		ErrBadHandle, ErrInvalid, ErrNotEmpty, ErrPerm, ErrServerBusy,
-		ErrAuthFailed, ErrRateLimited, ErrQuotaExceeded}
-	for _, e := range errs {
-		st, msg := errToStatus(e)
-		back := statusToErr(st, msg, 0)
-		if !errors.Is(back, e) {
-			t.Errorf("%v -> %d -> %v", e, st, back)
+	// Every status code has a row in the error table: it round-trips
+	// status -> err -> status instead of decoding to the statusIO fallback.
+	for st := statusOK + 1; st < numStatus; st++ {
+		err := statusToErr(st, "", 0)
+		if back, _ := errToStatus(err); back != st {
+			t.Errorf("status %d -> %v -> %d", st, err, back)
 		}
 	}
 	if st, msg := errToStatus(errors.New("weird io thing")); st != statusIO || msg == "" {

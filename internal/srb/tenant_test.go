@@ -103,10 +103,10 @@ func TestMalformedAuthBlobRefusedWithoutDesync(t *testing.T) {
 	// answered with a clean statusAuthFailed response (never a stream
 	// desync) and then hung up on.
 	blobs := [][]byte{
-		{0xff},                      // not even a length prefix
-		{0, 0, 0, 9, 'a'},           // tenant-ID length beyond the blob
+		{0xff},            // not even a length prefix
+		{0, 0, 0, 9, 'a'}, // tenant-ID length beyond the blob
 		append(encodeAuth("acme", make([]byte, tenant.ProofSize)), 0xEE), // trailing garbage
-		encodeAuth("acme", nil)[:6], // truncated proof length field
+		encodeAuth("acme", nil)[:6],                                      // truncated proof length field
 	}
 	for i, blob := range blobs {
 		srv, _ := tenantServer(nil, map[string]tenant.Limits{"acme": {}})

@@ -98,5 +98,5 @@ func (b *Bucket) Tokens(t time.Time) float64 {
 // race-free without exporting sync/atomic details.
 type atomicCounter struct{ v int64 }
 
-func (c *atomicCounter) add(d int64)  { atomic.AddInt64(&c.v, d) }
-func (c *atomicCounter) load() int64  { return atomic.LoadInt64(&c.v) }
+func (c *atomicCounter) add(d int64) { atomic.AddInt64(&c.v, d) }
+func (c *atomicCounter) load() int64 { return atomic.LoadInt64(&c.v) }

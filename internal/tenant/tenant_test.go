@@ -136,7 +136,7 @@ func TestAdmitUnlimitedTenant(t *testing.T) {
 	reg := NewRegistryClock(clk.now)
 	tn := reg.Register("free", []byte("k"), Limits{})
 	for i := 0; i < 10000; i++ {
-		if ok, _ := tn.Admit(1 << 20, clk.now()); !ok {
+		if ok, _ := tn.Admit(1<<20, clk.now()); !ok {
 			t.Fatal("zero Limits must admit everything")
 		}
 	}
